@@ -82,6 +82,22 @@ def _require_finite(name: str, *values: float) -> None:
             raise InvalidArgumentError(f"{name} must be finite, got {v!r}")
 
 
+def _require_k(k: float) -> None:
+    if not (math.isfinite(k) and k > 0.0):
+        raise InvalidArgumentError(f"wavenumber must be positive, got {k!r}")
+
+
+def _require_count(name: str, value) -> int:
+    """``value`` as an int >= 1; fractional, non-finite and non-numeric values raise."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value or count < 1:
+        raise InvalidArgumentError(f"{name} must be an integer >= 1, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True, slots=True)
 class Position:
     """A point in space, coordinates in nanometers."""
@@ -137,6 +153,19 @@ class PolarizedPoint:
     orientation: Orientation
 
 
+def _point_arrays(*points: PolarizedPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and orientations of polarized points, each of shape (P, 3).
+
+    Scalar kernels are two-point calls of the pairwise ``cdos_matrix``
+    kernels; these are the arrays they pass.
+    """
+    positions = np.array([[p.position.x, p.position.y, p.position.z] for p in points])
+    orientations = np.array(
+        [[p.orientation.ux, p.orientation.uy, p.orientation.uz] for p in points]
+    )
+    return positions, orientations
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Samples of a frequency-dependent quantity on an ascending k grid."""
@@ -179,8 +208,7 @@ def free_space_ldos(k: Wavenumber, n: float = 1.0) -> float:
     n : float
         Refractive index, must be >= 1.
     """
-    if not (math.isfinite(k) and k > 0.0):
-        raise InvalidArgumentError(f"wavenumber must be positive, got {k!r}")
+    _require_k(k)
     if not (math.isfinite(n) and n >= 1.0):
         raise InvalidArgumentError(f"refractive index must be >= 1, got {n!r}")
     return n * k * k / (3.0 * math.pi**2)

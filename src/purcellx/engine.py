@@ -37,12 +37,14 @@ from .core import (
     Spectrum,
     SweepPointError,
     Wavenumber,
+    _point_arrays,
+    _require_count,
 )
 from .fields import projected_field
 from .homogeneous import HomogeneousGreens
 from .modal import ModeSet
 from .qnm import QnmPair
-from .sources import ExtendedSource, default_element_count, line_source, pair_source
+from .sources import ExtendedSource, default_element_count, line_source
 
 __all__ = [
     "GreensModel",
@@ -98,7 +100,7 @@ class CompositeGreens:
         return self.structured.structured_modes()
 
     def cdos(self, a: PolarizedPoint, b: PolarizedPoint, k: Wavenumber) -> float:
-        return self.background.cdos(a, b, k) + self.structured.cdos(a, b, k)
+        return float(self.cdos_matrix(*_point_arrays(a, b), k)[0, 1])
 
     def cdos_matrix(self, positions: np.ndarray, orientations: np.ndarray,
                     k: Wavenumber) -> np.ndarray:
@@ -178,15 +180,7 @@ def two_dipole_rate(a: PolarizedPoint, b: PolarizedPoint, p: float, phase: float
     """
     if not (math.isfinite(p) and p > 0.0):
         raise InvalidArgumentError(f"pair amplitude must be positive, got {p!r}")
-    positions = np.array(
-        [[a.position.x, a.position.y, a.position.z],
-         [b.position.x, b.position.y, b.position.z]]
-    )
-    orientations = np.array(
-        [[a.orientation.ux, a.orientation.uy, a.orientation.uz],
-         [b.orientation.ux, b.orientation.uy, b.orientation.uz]]
-    )
-    rho = env.cdos_matrix(positions, orientations, k)
+    rho = env.cdos_matrix(*_point_arrays(a, b), k)
     return (p * p / 2.0) * (rho[0, 0] + rho[1, 1] + 2.0 * rho[0, 1] * math.cos(phase))
 
 
@@ -281,7 +275,7 @@ def sweep_length(center: Position, axis: Orientation, polarization: Orientation,
     elif callable(elements):
         count_for = elements
     else:
-        fixed = int(elements)
+        fixed = _require_count("elements", elements)
         count_for = lambda d: fixed
 
     dominant = _dominant_mode(env, center, polarization)
@@ -331,11 +325,3 @@ def coherence_classification(src: ExtendedSource, env: GreensModel,
             f"incoherent rate is {incoherent!r}; classification undefined"
         )
     return coherent / incoherent
-
-
-def pair_rate_via_source(a: PolarizedPoint, b: PolarizedPoint, p: float, phase: float,
-                         env: GreensModel, k: Wavenumber) -> float:
-    """decay_rate numerator of the equivalent pair source (cross-check path)."""
-    src = pair_source(a, b, p, phase)
-    positions, orientations, weights = _source_arrays(src)
-    return _quadratic_form(env, positions, orientations, weights, k)

@@ -34,7 +34,9 @@ from .core import (
     InvalidArgumentError,
     Orientation,
     OutOfDomainError,
+    PolarizedPoint,
     Position,
+    _point_arrays,
 )
 
 __all__ = [
@@ -42,7 +44,6 @@ __all__ = [
     "AnalyticSurrogate",
     "GridField",
     "VectorFieldModel",
-    "field_at",
     "projected_field",
     "projected_field_many",
     "load_grid_field",
@@ -97,12 +98,13 @@ class AnalyticSurrogate:
         )
         return p.amplitude * shape * envelope
 
+    def fields_at(self, positions: np.ndarray) -> np.ndarray:
+        """Field at M points (rows x, y, z); shape (M, 3) complex."""
+        profile = self.scalar_profile(positions[:, 0], positions[:, 1])
+        return profile[:, None] * self.params.polarization.as_array()
+
     def field_at(self, r: Position) -> np.ndarray:
-        p = self.params
-        value = p.amplitude * math.cos(
-            math.pi * r.x / (2.0 * p.sign_change_half_width)
-        ) * math.exp(-r.x * r.x / (2.0 * p.sigma_x**2) - r.y * r.y / (2.0 * p.sigma_y**2))
-        return value * p.polarization.as_array().astype(complex)
+        return self.fields_at(r.as_array()[None])[0]
 
 
 class GridField:
@@ -147,64 +149,50 @@ class GridField:
     def shape(self) -> tuple:
         return self.data.shape[:-1]
 
-    def _fractional_index(self, coord: float, axis: int) -> tuple[int, float]:
-        t = (coord - self.origin[axis]) / self.spacing[axis]
-        top = self.shape[axis] - 1
-        if t < 0.0 or t > top:
+    def fields_at(self, positions: np.ndarray) -> np.ndarray:
+        """Multilinear interpolation at M points (rows x, y, z); shape (M, 3) complex."""
+        coords = np.asarray(positions, dtype=float)[:, : self.ndim]
+        top = np.array(self.shape) - 1
+        t = (coords - self.origin) / self.spacing
+        outside = ~((t >= 0.0) & (t <= top))
+        if np.any(outside):
+            point, axis = np.argwhere(outside)[0]
             lo = self.origin[axis]
-            hi = self.origin[axis] + top * self.spacing[axis]
+            hi = self.origin[axis] + int(top[axis]) * self.spacing[axis]
             raise OutOfDomainError(
-                f"coordinate {coord!r} outside grid axis {axis} range [{lo}, {hi}]"
+                f"coordinate {float(coords[point, axis])!r} outside grid axis {axis} "
+                f"range [{lo}, {hi}]"
             )
-        i = min(int(math.floor(t)), top - 1)
-        return i, t - i
-
-    def field_at(self, r: Position) -> np.ndarray:
-        coords = (r.x, r.y, r.z)[: self.ndim]
-        idx_frac = [self._fractional_index(c, ax) for ax, c in enumerate(coords)]
-        out = np.zeros(3, dtype=complex)
+        i = np.minimum(np.floor(t).astype(int), top - 1)
+        f = t - i
+        out = np.zeros((coords.shape[0], 3), dtype=complex)
         # multilinear blend over the 2**ndim surrounding nodes
         for corner in range(1 << self.ndim):
             weight = 1.0
             index = []
-            for ax, (i, f) in enumerate(idx_frac):
-                if corner >> ax & 1:
-                    weight *= f
-                    index.append(i + 1)
-                else:
-                    weight *= 1.0 - f
-                    index.append(i)
-            if weight != 0.0:
-                out += weight * self.data[tuple(index)]
+            for ax in range(self.ndim):
+                up = corner >> ax & 1
+                weight = weight * (f[:, ax] if up else 1.0 - f[:, ax])
+                index.append(i[:, ax] + up)
+            out += weight[:, None] * self.data[tuple(index)]
         return out
+
+    def field_at(self, r: Position) -> np.ndarray:
+        return self.fields_at(r.as_array()[None])[0]
 
 
 VectorFieldModel = Union[AnalyticSurrogate, GridField]
 
 
-def field_at(model: VectorFieldModel, r: Position) -> np.ndarray:
-    """Evaluate a field model at a point; returns a complex 3-vector."""
-    return model.field_at(r)
-
-
 def projected_field(model: VectorFieldModel, r: Position, u: Orientation) -> complex:
     """Projection u . e(r) of the model field on a dipole orientation."""
-    e = model.field_at(r)
-    return complex(u.ux * e[0] + u.uy * e[1] + u.uz * e[2])
+    return complex(projected_field_many(model, *_point_arrays(PolarizedPoint(r, u)))[0])
 
 
 def projected_field_many(model: VectorFieldModel, positions: np.ndarray,
                          orientations: np.ndarray) -> np.ndarray:
     """Vectorized ``u_i . e(r_i)`` over M points; shape (M,) complex."""
-    if isinstance(model, AnalyticSurrogate):
-        profile = model.scalar_profile(positions[:, 0], positions[:, 1])
-        pol = model.params.polarization.as_array()
-        return profile * (orientations @ pol)
-    out = np.empty(positions.shape[0], dtype=complex)
-    for i in range(positions.shape[0]):
-        e = model.field_at(Position(*positions[i]))
-        out[i] = orientations[i, 0] * e[0] + orientations[i, 1] * e[1] + orientations[i, 2] * e[2]
-    return out
+    return np.einsum("ij,ij->i", orientations, model.fields_at(positions))
 
 
 def save_grid_field(field: GridField, path) -> None:

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidArgumentError, PolarizedPoint, Wavenumber
+from .core import (
+    InvalidArgumentError,
+    PolarizedPoint,
+    Wavenumber,
+    _point_arrays,
+    _require_k,
+)
 
 __all__ = [
     "HomogeneousGreens",
@@ -73,8 +79,8 @@ def _factors_series(x):
 
 
 def _factors_closed(x):
-    sx = math.sin(x)
-    cx = math.cos(x)
+    sx = np.sin(x)
+    cx = np.cos(x)
     inv = 1.0 / x
     inv2 = inv * inv
     a = sx * inv + cx * inv2 - sx * inv * inv2
@@ -82,36 +88,22 @@ def _factors_closed(x):
     return a, b
 
 
+def _factors_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the closed forms are inf/nan at x = 0; the series overwrites them there
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = _factors_closed(x)
+    small = x < TAYLOR_SWITCH
+    if np.any(small):
+        a[small], b[small] = _factors_series(x[small])
+    return a, b
+
+
 def radial_factors(x: float) -> tuple[float, float]:
     """Transverse and longitudinal radial factors (A, B) at x = n*k*R."""
     if x < 0.0 or not math.isfinite(x):
         raise InvalidArgumentError(f"radial argument must be finite and >= 0, got {x!r}")
-    if x < TAYLOR_SWITCH:
-        return _factors_series(x)
-    return _factors_closed(x)
-
-
-def _factors_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.empty_like(x)
-    b = np.empty_like(x)
-    small = x < TAYLOR_SWITCH
-    if np.any(small):
-        a[small], b[small] = _factors_series(x[small])
-    large = ~small
-    if np.any(large):
-        xl = x[large]
-        sx = np.sin(xl)
-        cx = np.cos(xl)
-        inv = 1.0 / xl
-        inv2 = inv * inv
-        a[large] = sx * inv + cx * inv2 - sx * inv * inv2
-        b[large] = -sx * inv - 3.0 * cx * inv2 + 3.0 * sx * inv * inv2
-    return a, b
-
-
-def _require_k(k: float) -> None:
-    if not (math.isfinite(k) and k > 0.0):
-        raise InvalidArgumentError(f"wavenumber must be positive, got {k!r}")
+    a, b = _factors_array(np.array([x], dtype=float))
+    return float(a[0]), float(b[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,24 +160,7 @@ def im_g_projected(env: HomogeneousGreens, a: PolarizedPoint, b: PolarizedPoint,
     decay rate; at finite separation it oscillates on the scale of the
     medium wavelength and can take either sign.
     """
-    _require_k(k)
-    dx = b.position.x - a.position.x
-    dy = b.position.y - a.position.y
-    dz = b.position.z - a.position.z
-    r = math.sqrt(dx * dx + dy * dy + dz * dz)
-    kappa = env.n * k
-    fa, fb = radial_factors(kappa * r)
-    ua = a.orientation
-    ub = b.orientation
-    uu = ua.ux * ub.ux + ua.uy * ub.uy + ua.uz * ub.uz
-    if r > 0.0:
-        ex, ey, ez = dx / r, dy / r, dz / r
-        ua_r = ua.ux * ex + ua.uy * ey + ua.uz * ez
-        ub_r = ub.ux * ex + ub.uy * ey + ub.uz * ez
-        radial = fb * (ua_r * ub_r)
-    else:
-        radial = 0.0
-    return (kappa / (4.0 * math.pi)) * (fa * uu + radial)
+    return cdos(env, a, b, k) * math.pi / (2.0 * k)
 
 
 def cdos(env: HomogeneousGreens, a: PolarizedPoint, b: PolarizedPoint,
@@ -193,7 +168,7 @@ def cdos(env: HomogeneousGreens, a: PolarizedPoint, b: PolarizedPoint,
     """Projected cross density of states between two polarized points.
 
     Defined as ``(2k/pi) * Im[u_a . G u_b]``; coincides with the projected
-    LDOS when the two points and orientations are equal.
+    LDOS when the two points and orientations are equal.  A two-point call
+    of :meth:`HomogeneousGreens.cdos_matrix`.
     """
-    return (2.0 * k / math.pi) * im_g_projected(env, a, b, k)
-
+    return float(env.cdos_matrix(*_point_arrays(a, b), k)[0, 1])

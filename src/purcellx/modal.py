@@ -1,10 +1,19 @@
-"""Structured environments built from a discrete set of lossy eigenmodes.
+"""Structured environments built from a discrete set of lossy eigenmodes,
+and the pole-sum kernel they share with the two-QNM model.
 
-Each mode contributes a Lorentzian line to the CDOS, weighted by the product
-of the mode field projected on the two dipoles.  This is the low-loss limit
-of an open-resonator expansion; the constructor warns when the damping rate
-is large enough (gamma > k_m/10) that the limit becomes questionable, but
-does not forbid it.
+Every structured model here is a sum over resonance poles
+``1/(k_m - i*gamma_m/2 - k)``, weighted by the mode field projected on the
+two dipoles (:func:`_pole_sum`).  Models differ only in the field product:
+
+* a lossy mode takes the Lorentzian ``(1/pi) Im(pole)`` times the real part
+  of ``v_a conj(v_b)``; this is the low-loss limit of an open-resonator
+  expansion, and the constructor warns when the damping rate is large
+  enough (gamma > k_m/10) that the limit becomes questionable, but does
+  not forbid it;
+* a quasinormal mode (:mod:`purcellx.qnm`) takes ``(1/pi) Im(pole v_a v_b)``
+  with no conjugation.
+
+The two coincide for real fields.
 
 Mode fields carry arbitrary user-chosen normalization.  Only single-mode
 rate *ratios* are normalization-free; for multi-mode sets the relative mode
@@ -24,13 +33,14 @@ from .core import (
     Orientation,
     PolarizedPoint,
     Wavenumber,
+    _point_arrays,
+    _require_k,
     wavelength_to_k,
 )
 from .fields import (
     AnalyticSurrogate,
     AnalyticSurrogateParams,
     VectorFieldModel,
-    projected_field,
     projected_field_many,
 )
 
@@ -74,6 +84,41 @@ class LossyMode:
         return self.gamma_m > self.k_m / 10.0
 
 
+def _pole_sum(modes, positions: np.ndarray, orientations: np.ndarray, k: Wavenumber,
+             product) -> np.ndarray:
+    """Pole expansion over M points: ``sum_m product(v_m, 1/(k_m - i g_m/2 - k))``.
+
+    ``v_m`` is mode m's field projected on the M polarized points and
+    ``product(v, pole)`` the mode's (M, M) contribution; the model class
+    chooses the product (:func:`_lorentzian_product`, :func:`_qnm_product`).
+    """
+    _require_k(k)
+    terms = (
+        product(projected_field_many(mode.field, positions, orientations),
+                1.0 / (complex(mode.k_m, -0.5 * mode.gamma_m) - k))
+        for mode in modes
+    )
+    out = next(terms)
+    for term in terms:
+        out += term
+    return out
+
+
+def _lorentzian_product(v: np.ndarray, pole: complex) -> np.ndarray:
+    """Lossy-mode term: the real Lorentzian ``Im(pole)/pi`` times ``Re(v v^H)``."""
+    return (pole.imag / math.pi) * np.outer(v, v.conjugate()).real
+
+
+def _green_product(v: np.ndarray, pole: complex) -> np.ndarray:
+    """Quasinormal-mode Green's term ``pole v v^T``, with no conjugation."""
+    return np.outer(v, v) * pole
+
+
+def _qnm_product(v: np.ndarray, pole: complex) -> np.ndarray:
+    """Quasinormal-mode CDOS term ``Im(pole v v^T)/pi``."""
+    return (1.0 / math.pi) * _green_product(v, pole).imag
+
+
 @dataclass(frozen=True, slots=True)
 class ModeSet:
     """Non-empty collection of lossy modes acting as a Green's model."""
@@ -98,17 +143,7 @@ class ModeSet:
 
     def cdos_matrix(self, positions: np.ndarray, orientations: np.ndarray,
                     k: Wavenumber) -> np.ndarray:
-        if not (math.isfinite(k) and k > 0.0):
-            raise InvalidArgumentError(f"wavenumber must be positive, got {k!r}")
-        m = positions.shape[0]
-        out = np.zeros((m, m), dtype=float)
-        for mode in self.modes:
-            v = projected_field_many(mode.field, positions, orientations)
-            lorentz = (mode.gamma_m / (2.0 * math.pi)) / (
-                (k - mode.k_m) ** 2 + mode.gamma_m**2 / 4.0
-            )
-            out += lorentz * np.outer(v, v.conjugate()).real
-        return out
+        return _pole_sum(self.modes, positions, orientations, k, _lorentzian_product)
 
 
 def cdos_modal(modes: ModeSet, a: PolarizedPoint, b: PolarizedPoint,
@@ -119,17 +154,7 @@ def cdos_modal(modes: ModeSet, a: PolarizedPoint, b: PolarizedPoint,
     At coincidence this is the modal LDOS; between points where a mode field
     has opposite signs the contribution is negative at every frequency.
     """
-    if not (math.isfinite(k) and k > 0.0):
-        raise InvalidArgumentError(f"wavenumber must be positive, got {k!r}")
-    total = 0.0
-    for mode in modes.modes:
-        za = projected_field(mode.field, a.position, a.orientation)
-        zb = projected_field(mode.field, b.position, b.orientation)
-        lorentz = (mode.gamma_m / (2.0 * math.pi)) / (
-            (k - mode.k_m) ** 2 + mode.gamma_m**2 / 4.0
-        )
-        total += lorentz * (za * zb.conjugate()).real
-    return total
+    return float(modes.cdos_matrix(*_point_arrays(a, b), k)[0, 1])
 
 
 DEFAULT_SURROGATE_PARAMS = AnalyticSurrogateParams(

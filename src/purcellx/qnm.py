@@ -3,6 +3,8 @@
 The model sums two resonance poles at complex frequencies k_m - i*gamma_m/2
 with *unconjugated* field products, which is what produces non-Lorentzian
 (Fano) LDOS and CDOS spectra when the mode fields carry nontrivial phases.
+The pole sum itself is the one shared with lossy modes
+(:mod:`purcellx.modal`); only the field product differs.
 
 Every LDOS/CDOS spectrum of this model decomposes exactly into one Fano
 profile per mode.  The half-angle convention q = tan((phi_1 + phi_2)/2)
@@ -14,7 +16,6 @@ reported for comparison rather than asserted otherwise.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -26,8 +27,10 @@ from .core import (
     PolarizedPoint,
     UndefinedPhaseError,
     Wavenumber,
+    _point_arrays,
 )
 from .fields import VectorFieldModel, projected_field, projected_field_many
+from .modal import _green_product, _pole_sum, _qnm_product
 
 __all__ = [
     "Qnm",
@@ -40,7 +43,6 @@ __all__ = [
     "qnm_phase",
     "fano_q_params",
     "fano_decompose_cdos",
-    "mean_q_terms",
     "reconstruct_cdos",
     "mean_q_report",
     "ZERO_FIELD_CUTOFF",
@@ -109,19 +111,7 @@ class QnmPair:
 
     def cdos_matrix(self, positions: np.ndarray, orientations: np.ndarray,
                     k: Wavenumber) -> np.ndarray:
-        _require_k(k)
-        m = positions.shape[0]
-        out = np.zeros((m, m), dtype=float)
-        for _, mode in self.labeled():
-            v = projected_field_many(mode.field, positions, orientations)
-            pole = 1.0 / (mode.complex_frequency - k)
-            out += (1.0 / math.pi) * (np.outer(v, v) * pole).imag
-        return out
-
-
-def _require_k(k: float) -> None:
-    if not (math.isfinite(k) and k > 0.0):
-        raise InvalidArgumentError(f"wavenumber must be positive, got {k!r}")
+        return _pole_sum(self.structured_modes(), positions, orientations, k, _qnm_product)
 
 
 def green_qnm_projected(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
@@ -131,19 +121,14 @@ def green_qnm_projected(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
     Each mode contributes ``(u_a.E(r_a)) (u_b.E(r_b)) / (2k (k_m - i g_m/2 - k))``
     with no conjugation of the second field factor.
     """
-    _require_k(k)
-    total = 0.0 + 0.0j
-    for mode in (pair.qnm_a, pair.qnm_b):
-        za = projected_field(mode.field, a.position, a.orientation)
-        zb = projected_field(mode.field, b.position, b.orientation)
-        total += za * zb / (mode.complex_frequency - k)
-    return total / (2.0 * k)
+    pole_sum = _pole_sum(pair.structured_modes(), *_point_arrays(a, b), k, _green_product)
+    return complex(pole_sum[0, 1]) / (2.0 * k)
 
 
 def cdos_qnm(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
              k: Wavenumber) -> float:
     """CDOS of the two-mode model, ``(2k/pi) Im[u_a . G u_b]``."""
-    return (2.0 * k / math.pi) * green_qnm_projected(pair, a, b, k).imag
+    return float(pair.cdos_matrix(*_point_arrays(a, b), k)[0, 1])
 
 
 def fano_profile(k_m: Wavenumber, gamma_m: float, q: float, k):
@@ -169,17 +154,20 @@ def fano_profile(k_m: Wavenumber, gamma_m: float, q: float, k):
     return out
 
 
-def qnm_phase(qnm: Qnm, p: PolarizedPoint) -> float:
-    """Principal argument in (-pi, pi] of the projected mode field at a point."""
-    z = projected_field(qnm.field, p.position, p.orientation)
+def _phase(z: complex) -> float:
     if abs(z) < ZERO_FIELD_CUTOFF:
         raise UndefinedPhaseError(
             f"projected field magnitude {abs(z)!r} below {ZERO_FIELD_CUTOFF}; phase undefined"
         )
-    phi = cmath.phase(z)
-    if phi == -math.pi:
-        phi = math.pi
-    return phi
+    # atan2 rather than cmath.phase, which raises OverflowError when the
+    # phase underflows (a subnormal imaginary part)
+    phi = math.atan2(z.imag, z.real)
+    return math.pi if phi == -math.pi else phi
+
+
+def qnm_phase(qnm: Qnm, p: PolarizedPoint) -> float:
+    """Principal argument in (-pi, pi] of the projected mode field at a point."""
+    return _phase(projected_field(qnm.field, p.position, p.orientation))
 
 
 class FanoQParams(NamedTuple):
@@ -232,20 +220,20 @@ class FanoTerm:
 def _decompose(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
                half_angle: bool) -> list[FanoTerm]:
     terms: list[FanoTerm] = []
+    positions, orientations = _point_arrays(a, b)
     for label, mode in pair.labeled():
-        za = projected_field(mode.field, a.position, a.orientation)
-        zb = projected_field(mode.field, b.position, b.orientation)
+        za, zb = projected_field_many(mode.field, positions, orientations)
         if min(abs(za), abs(zb)) < ZERO_FIELD_CUTOFF:
             continue
-        phi_a = qnm_phase(mode, a)
-        phi_b = qnm_phase(mode, b)
+        phi_a = _phase(za)
+        phi_b = _phase(zb)
         if half_angle:
             q = _tan_or_inf(0.5 * (phi_a + phi_b))
         else:
             qa = _tan_or_inf(phi_a)
             qb = _tan_or_inf(phi_b)
             q = math.inf if (math.isinf(qa) or math.isinf(qb)) else 0.5 * (qa + qb)
-        coefficient = -2.0 * abs(za * zb) / (math.pi * mode.gamma_m)
+        coefficient = float(-2.0 * abs(za * zb) / (math.pi * mode.gamma_m))
         terms.append(FanoTerm(label=label, q=q, coefficient=coefficient))
     if not terms:
         raise UndefinedPhaseError(
@@ -264,12 +252,6 @@ def fano_decompose_cdos(pair: QnmPair, a: PolarizedPoint,
     (no fitting); the sum over modes reproduces :func:`cdos_qnm` identically.
     """
     return _decompose(pair, a, b, half_angle=True)
-
-
-def mean_q_terms(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint) -> list[FanoTerm]:
-    """Same coefficients as :func:`fano_decompose_cdos` but with the
-    arithmetic-mean-of-tangents q convention (reported, not asserted)."""
-    return _decompose(pair, a, b, half_angle=False)
 
 
 def reconstruct_cdos(pair: QnmPair, terms: list[FanoTerm], k):
@@ -295,7 +277,8 @@ def mean_q_report(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
     if scale == 0.0:
         scale = 1.0
     half = reconstruct_cdos(pair, fano_decompose_cdos(pair, a, b), k_grid)
-    mean = reconstruct_cdos(pair, mean_q_terms(pair, a, b), k_grid)
+    # same coefficients, arithmetic-mean-of-tangents q (reported, not asserted)
+    mean = reconstruct_cdos(pair, _decompose(pair, a, b, half_angle=False), k_grid)
     phases_equal = []
     for _, mode in pair.labeled():
         try:

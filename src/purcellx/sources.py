@@ -27,6 +27,8 @@ from .core import (
     PolarizedPoint,
     Position,
     Wavenumber,
+    _require_count,
+    _require_k,
 )
 
 __all__ = [
@@ -137,11 +139,9 @@ def line_source(center: Position, axis: Orientation, polarization: Orientation,
     """
     if not (math.isfinite(d) and d >= 0.0):
         raise InvalidArgumentError(f"line length must be >= 0, got {d!r}")
-    if n_elements < 1:
-        raise InvalidArgumentError(f"element count must be >= 1, got {n_elements!r}")
+    n = _require_count("element count", n_elements)
     if not (math.isfinite(p) and p > 0.0):
         raise InvalidArgumentError(f"cluster amplitude must be positive, got {p!r}")
-    n = int(n_elements)
     if n == 1 or d == 0.0:
         # a zero-length cluster is a single dipole carrying the full amplitude
         element = DipoleElement(
@@ -176,8 +176,7 @@ def default_element_count(d: float, k: Wavenumber, n: float = 1.0,
     """
     if d < 0.0 or not math.isfinite(d):
         raise InvalidArgumentError(f"line length must be >= 0, got {d!r}")
-    if not (math.isfinite(k) and k > 0.0):
-        raise InvalidArgumentError(f"wavenumber must be positive, got {k!r}")
+    _require_k(k)
     if d == 0.0:
         return max(1, minimum)
     spacing_max = 2.0 * math.pi / (k * n * per_wavelength)
@@ -200,17 +199,13 @@ class SamplingGrid:
     def __post_init__(self):
         lo = tuple(float(v) for v in self.lo)
         hi = tuple(float(v) for v in self.hi)
-        shape = tuple(int(v) for v in self.shape)
+        shape = tuple(_require_count("grid shape entry", v) for v in self.shape)
         if len(lo) != 3 or len(hi) != 3 or len(shape) != 3:
             raise InvalidArgumentError("SamplingGrid needs 3 entries per field")
         if any(not math.isfinite(v) for v in lo + hi):
             raise InvalidArgumentError("grid corners must be finite")
-        if any(n < 1 for n in shape):
-            raise InvalidArgumentError("grid shape entries must be >= 1")
         if any(h < l for l, h in zip(lo, hi)):
             raise InvalidArgumentError("grid hi corner must not be below lo corner")
-        if any(h > l and n < 1 for l, h, n in zip(lo, hi, shape)):
-            raise InvalidArgumentError("extended axes need at least one cell")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "shape", shape)

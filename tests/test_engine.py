@@ -11,6 +11,7 @@ from purcellx import (
     DipoleElement,
     ExtendedSource,
     HomogeneousGreens,
+    InvalidArgumentError,
     ModeSet,
     Orientation,
     PolarizedPoint,
@@ -28,11 +29,18 @@ from purcellx import (
     two_dipole_rate,
     wavelength_to_k,
 )
-from purcellx.engine import pair_rate_via_source
 
 X = Orientation(1.0, 0.0, 0.0)
 Y = Orientation(0.0, 1.0, 0.0)
 VACUUM = HomogeneousGreens(1.0)
+
+
+def pair_rate_via_source(a, b, p, phase, env, k):
+    """decay_rate numerator of the equivalent pair source: w^H rho w."""
+    src = pair_source(a, b, p, phase)
+    rho = env.cdos_matrix(src.positions_array(), src.orientations_array(), k)
+    w = src.weights_array()
+    return float((w.conjugate() @ rho @ w).real)
 
 
 def _pp(x, y=0.0, u=Y):
@@ -111,7 +119,7 @@ def test_hermitian_form_real_and_matches_brute_force():
                 brute += ei.weight.conjugate() * ej.weight * env.cdos(ei.point, ej.point, k)
         assert abs(brute.imag) <= 1e-12 * max(abs(brute), 1e-300)
         num = decay_rate(src, env, VACUUM, k).numerator
-        assert num == pytest.approx(brute.real, rel=1e-12)
+        assert num == pytest.approx(brute.real, rel=1e-12, abs=0.0)
 
 
 def test_two_dipole_rate_equals_pair_source_numerator():
@@ -122,7 +130,7 @@ def test_two_dipole_rate_equals_pair_source_numerator():
     for phase in (0.0, 0.4, math.pi / 2, math.pi, 4.0):
         direct = two_dipole_rate(a, b, p=1.7, phase=phase, env=env, k=k)
         via_source = pair_rate_via_source(a, b, p=1.7, phase=phase, env=env, k=k)
-        assert direct == pytest.approx(via_source, rel=1e-12)
+        assert direct == pytest.approx(via_source, rel=1e-12, abs=0.0)
 
 
 @given(phase=st.floats(min_value=-7.0, max_value=7.0))
@@ -138,7 +146,7 @@ def test_two_dipole_rate_phase_identities(phase):
     # rate(phi) + rate(phi + pi) = p^2 (rho_aa + rho_bb)
     total = rate(phase) + rate(phase + math.pi)
     expected = env.cdos(a, a, k) + env.cdos(b, b, k)
-    assert total == pytest.approx(expected, rel=1e-12)
+    assert total == pytest.approx(expected, rel=1e-12, abs=0.0)
     # rate(phi) - rate(pi - phi) = 2 p^2 rho_ab cos(phi)
     diff = rate(phase) - rate(math.pi - phase)
     assert diff == pytest.approx(2.0 * env.cdos(a, b, k) * math.cos(phase),
@@ -301,6 +309,13 @@ def test_sweep_errors_carry_point_index():
     with pytest.raises(SweepPointError) as err:
         sweep_length(Position(0, 0, 0), X, Y, ds, 1.0, env, VACUUM, 0.005, workers=1)
     assert err.value.index == 1
+
+
+def test_sweep_length_rejects_non_integral_element_count():
+    env = HomogeneousGreens(1.0)
+    with pytest.raises(InvalidArgumentError, match="elements"):
+        sweep_length(Position(0, 0, 0), X, Y, np.array([100.0]), 1.0, env, env, 0.005,
+                     elements=2.5)
 
 
 def test_degenerate_reference_detected():

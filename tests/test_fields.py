@@ -13,11 +13,11 @@ from purcellx import (
     Orientation,
     OutOfDomainError,
     Position,
-    field_at,
     load_grid_field,
     projected_field,
     save_grid_field,
 )
+from purcellx.fields import projected_field_many
 
 Y = Orientation(0.0, 1.0, 0.0)
 
@@ -32,13 +32,13 @@ PARAMS = AnalyticSurrogateParams(
 
 def test_surrogate_peak_at_origin():
     field = AnalyticSurrogate(PARAMS)
-    e = field_at(field, Position(0.0, 0.0, 0.0))
+    e = field.field_at(Position(0.0, 0.0, 0.0))
     assert np.allclose(e, [0.0, 2.0, 0.0])
 
 
 def test_surrogate_zero_at_sign_change():
     field = AnalyticSurrogate(PARAMS)
-    e = field_at(field, Position(160.0, 0.0, 0.0))
+    e = field.field_at(Position(160.0, 0.0, 0.0))
     assert np.allclose(e, 0.0, atol=1e-15)
 
 
@@ -52,8 +52,8 @@ def test_surrogate_sign_flip_in_side_lobe():
 def test_surrogate_ignores_z():
     field = AnalyticSurrogate(PARAMS)
     assert np.array_equal(
-        field_at(field, Position(40.0, 10.0, 0.0)),
-        field_at(field, Position(40.0, 10.0, 999.0)),
+        field.field_at(Position(40.0, 10.0, 0.0)),
+        field.field_at(Position(40.0, 10.0, 999.0)),
     )
 
 
@@ -74,7 +74,7 @@ def test_grid_node_identity():
     grid = _random_grid(rng)
     for ix, iy in [(0, 0), (3, 5), (7, 7)]:
         r = Position(-100.0 + 25.0 * ix, -50.0 + 12.5 * iy, 0.0)
-        assert np.array_equal(field_at(grid, r), grid.data[ix, iy])
+        assert np.array_equal(grid.field_at(r), grid.data[ix, iy])
 
 
 def test_bilinear_cell_center_is_corner_average():
@@ -84,7 +84,7 @@ def test_bilinear_cell_center_is_corner_average():
     data[0, 1] = [3.0, 0.0, 4.0]
     data[1, 1] = [4.0, 0.0, 0.0]
     grid = GridField(data, origin=(0.0, 0.0), spacing=(10.0, 10.0))
-    center = field_at(grid, Position(5.0, 5.0, 0.0))
+    center = grid.field_at(Position(5.0, 5.0, 0.0))
     assert np.allclose(center, data.reshape(4, 3).mean(axis=0), rtol=1e-15)
 
 
@@ -97,7 +97,7 @@ def test_bilinear_hand_computed_point():
     grid = GridField(data, origin=(0.0, 0.0), spacing=(1.0, 1.0))
     # fx=0.25, fy=0.75: (1-fx)(1-fy)*1 + fx(1-fy)*5 + (1-fx)fy*9 + fx*fy*13
     expected = 0.75 * 0.25 * 1.0 + 0.25 * 0.25 * 5.0 + 0.75 * 0.75 * 9.0 + 0.25 * 0.75 * 13.0
-    got = field_at(grid, Position(0.25, 0.75, 0.0))
+    got = grid.field_at(Position(0.25, 0.75, 0.0))
     assert got[0] == pytest.approx(expected, rel=1e-15)
 
 
@@ -105,7 +105,7 @@ def test_trilinear_center_of_cube():
     rng = np.random.default_rng(2)
     data = rng.normal(size=(2, 2, 2, 3)) + 1j * rng.normal(size=(2, 2, 2, 3))
     grid = GridField(data, origin=(0.0, 0.0, 0.0), spacing=(2.0, 2.0, 2.0))
-    center = field_at(grid, Position(1.0, 1.0, 1.0))
+    center = grid.field_at(Position(1.0, 1.0, 1.0))
     assert np.allclose(center, data.reshape(8, 3).mean(axis=0), rtol=1e-14)
 
 
@@ -113,11 +113,64 @@ def test_grid_out_of_bounds_raises():
     rng = np.random.default_rng(3)
     grid = _random_grid(rng)
     with pytest.raises(OutOfDomainError):
-        field_at(grid, Position(-100.1, 0.0, 0.0))
+        grid.field_at(Position(-100.1, 0.0, 0.0))
     with pytest.raises(OutOfDomainError):
-        field_at(grid, Position(0.0, 50.0, 0.0))  # y max is -50 + 7*12.5 = 37.5
+        grid.field_at(Position(0.0, 50.0, 0.0))  # y max is -50 + 7*12.5 = 37.5
     # boundary itself is in-domain
-    field_at(grid, Position(75.0, 37.5, 0.0))
+    grid.field_at(Position(75.0, 37.5, 0.0))
+
+
+def _hand_blend(grid, r):
+    """Multilinear blend written out corner by corner, at one point."""
+    t = [(r[ax] - grid.origin[ax]) / grid.spacing[ax] for ax in range(grid.ndim)]
+    i = [min(int(math.floor(v)), n - 2) for v, n in zip(t, grid.shape)]
+    fx, fy = t[0] - i[0], t[1] - i[1]
+    d = grid.data
+    if grid.ndim == 2:
+        x, y = i
+        return ((1 - fx) * (1 - fy) * d[x, y] + fx * (1 - fy) * d[x + 1, y]
+                + (1 - fx) * fy * d[x, y + 1] + fx * fy * d[x + 1, y + 1])
+    x, y, z = i
+    fz = t[2] - z
+    return ((1 - fz) * ((1 - fx) * (1 - fy) * d[x, y, z] + fx * (1 - fy) * d[x + 1, y, z]
+                        + (1 - fx) * fy * d[x, y + 1, z] + fx * fy * d[x + 1, y + 1, z])
+            + fz * ((1 - fx) * (1 - fy) * d[x, y, z + 1] + fx * (1 - fy) * d[x + 1, y, z + 1]
+                    + (1 - fx) * fy * d[x, y + 1, z + 1] + fx * fy * d[x + 1, y + 1, z + 1]))
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (3, 4, 5)])
+def test_grid_interpolation_matches_hand_blend(shape):
+    rng = np.random.default_rng(6)
+    ndim = len(shape)
+    data = rng.normal(size=shape + (3,)) + 1j * rng.normal(size=shape + (3,))
+    origin = (-40.0, 10.0, 5.0)[:ndim]
+    spacing = (7.5, 3.0, 12.0)[:ndim]
+    grid = GridField(data, origin, spacing)
+    upper = [o + (n - 1) * s for o, n, s in zip(origin, shape, spacing)]
+    nodes = [tuple(o + i * s for o, i, s in zip(origin, idx, spacing))
+             for idx in np.ndindex(*shape)]
+    inside = [tuple(rng.uniform(origin[ax], upper[ax]) for ax in range(ndim)) for _ in range(40)]
+    edges = [tuple(upper[ax] if ax == edge else rng.uniform(origin[ax], upper[ax])
+                   for ax in range(ndim)) for edge in range(ndim)]
+    points = nodes + inside + edges + [tuple(upper)]
+    positions = np.array([p + (0.0,) * (3 - ndim) for p in points])
+    got = grid.fields_at(positions)
+    for row, p in zip(got, points):
+        assert np.allclose(row, _hand_blend(grid, p), rtol=1e-13, atol=0.0)
+    for row, idx in zip(got, np.ndindex(*shape)):
+        assert np.array_equal(row, data[idx])  # nodes reproduce the samples exactly
+    assert np.array_equal(got[-1], data[tuple(n - 1 for n in shape)])
+    # projection is the same blend dotted with each orientation
+    u = rng.normal(size=(len(points), 3))
+    assert np.allclose(projected_field_many(grid, positions, u),
+                       [np.dot(ui, _hand_blend(grid, p)) for ui, p in zip(u, points)],
+                       rtol=1e-12, atol=0.0)
+    for ax in range(ndim):
+        for value in (origin[ax] - 1e-9, upper[ax] + 1e-9):
+            bad = positions.copy()
+            bad[7, ax] = value
+            with pytest.raises(OutOfDomainError, match=f"outside grid axis {ax} range"):
+                grid.fields_at(bad)
 
 
 def test_grid_validation():

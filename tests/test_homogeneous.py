@@ -73,8 +73,9 @@ def test_coincidence_limit_is_medium_ldos():
     for n in (1.0, 1.5, 3.48):
         env = HomogeneousGreens(n)
         p = PolarizedPoint(Position(3.0, -2.0, 9.0), Y)
-        assert im_g_projected(env, p, p, k) == pytest.approx(n * k / (6.0 * math.pi), rel=1e-12)
-        assert cdos(env, p, p, k) == pytest.approx(free_space_ldos(k, n), rel=1e-9)
+        assert im_g_projected(env, p, p, k) == pytest.approx(n * k / (6.0 * math.pi),
+                                                             rel=1e-12, abs=0.0)
+        assert cdos(env, p, p, k) == pytest.approx(free_space_ldos(k, n), rel=1e-9, abs=0.0)
 
 
 def test_orthogonal_transverse_orientations_give_zero():
@@ -92,7 +93,7 @@ def test_transverse_pair_at_half_period():
     a = PolarizedPoint(Position(0.0, 0.0, 0.0), Y)
     b = PolarizedPoint(Position(r, 0.0, 0.0), Y)
     expected = (k / (4.0 * math.pi)) * (-1.0 / math.pi**2)
-    assert im_g_projected(env, a, b, k) == pytest.approx(expected, rel=1e-12)
+    assert im_g_projected(env, a, b, k) == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert cdos(env, a, b, k) < 0.0
 
 
@@ -135,20 +136,31 @@ def test_cdos_bounded_by_coincidence(a, b, k, n):
 
 
 def test_cdos_matrix_matches_scalar_kernel():
+    # every entry against a double loop over the high-precision closed forms
     env = HomogeneousGreens(2.0)
     k = 0.008
     rng = np.random.default_rng(3)
-    pts = [
-        PolarizedPoint(Position(*rng.uniform(-300, 300, 3)),
-                       Orientation.from_vector(*rng.normal(size=3)))
-        for _ in range(6)
-    ]
-    positions = np.array([[p.position.x, p.position.y, p.position.z] for p in pts])
-    orientations = np.array([[p.orientation.ux, p.orientation.uy, p.orientation.uz] for p in pts])
+    positions = rng.uniform(-300, 300, (6, 3))
+    orientations = rng.normal(size=(6, 3))
+    orientations /= np.linalg.norm(orientations, axis=1)[:, None]
     rho = env.cdos_matrix(positions, orientations, k)
-    for i, a in enumerate(pts):
-        for j, b in enumerate(pts):
-            assert rho[i, j] == pytest.approx(cdos(env, a, b, k), rel=1e-12)
+    kappa = mp.mpf(env.n) * mp.mpf(k)
+    prefactor = (2 * mp.mpf(k) / mp.pi) * kappa / (4 * mp.pi)
+    for i in range(6):
+        for j in range(6):
+            ua = [mp.mpf(float(v)) for v in orientations[i]]
+            ub = [mp.mpf(float(v)) for v in orientations[j]]
+            uu = sum(p * q for p, q in zip(ua, ub))
+            d = [mp.mpf(float(q)) - mp.mpf(float(p)) for p, q in zip(positions[i], positions[j])]
+            rr = mp.sqrt(sum(c * c for c in d))
+            if i == j:
+                expected = prefactor * mp.mpf(2) / 3 * uu  # A(0) = 2/3, no radial term
+            else:
+                am, bm = _factors_mp(kappa * rr)
+                ua_r = sum(p * c / rr for p, c in zip(ua, d))
+                ub_r = sum(q * c / rr for q, c in zip(ub, d))
+                expected = prefactor * (am * uu + bm * ua_r * ub_r)
+            assert rho[i, j] == pytest.approx(float(expected), rel=1e-12, abs=0.0)
 
 
 def test_homogeneous_greens_rejects_bad_index():

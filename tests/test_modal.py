@@ -164,15 +164,28 @@ def test_two_mode_sum_is_additive():
 
 
 def test_cdos_matrix_matches_scalar():
-    ms = ModeSet((surrogate_l3(),))
-    pts = [_point(0.0), _point(100.0, 30.0), _point(-250.0, -40.0)]
-    positions = np.array([[p.position.x, p.position.y, p.position.z] for p in pts])
-    orientations = np.array([[p.orientation.ux, p.orientation.uy, p.orientation.uz] for p in pts])
+    # explicit Lorentzian x Re(z_a conj(z_b)) loop over two modes, one complex
+    m1 = surrogate_l3()
+    params = AnalyticSurrogateParams(120.0, 300.0, 100.0, Y, amplitude=0.8 - 0.6j)
+    m2 = LossyMode(AnalyticSurrogate(params), k_m=m1.k_m * 1.0004, gamma_m=3 * m1.gamma_m)
+    ms = ModeSet((m1, m2))
+    xy = [(0.0, 0.0), (100.0, 30.0), (-250.0, -40.0), (180.0, 5.0)]
+    positions = np.array([[x, y, 0.0] for x, y in xy])
+    orientations = np.tile([0.0, 1.0, 0.0], (len(xy), 1))
     k = DEFAULT_SURROGATE_K_M * 1.0001
     rho = ms.cdos_matrix(positions, orientations, k)
-    for i, a in enumerate(pts):
-        for j, b in enumerate(pts):
-            assert rho[i, j] == pytest.approx(cdos_modal(ms, a, b, k), rel=1e-12)
+    modes = (
+        (m1, lambda x, y: complex(_surrogate_value(x, y))),
+        (m2, lambda x, y: (0.8 - 0.6j) * _surrogate_value(x, y, x0=120.0, sx=300.0, sy=100.0)),
+    )
+    for i, (xa, ya) in enumerate(xy):
+        for j, (xb, yb) in enumerate(xy):
+            expected = 0.0
+            for mode, value in modes:
+                g = mode.gamma_m
+                lorentz = (g / (2.0 * math.pi)) / ((k - mode.k_m) ** 2 + g * g / 4.0)
+                expected += lorentz * (value(xa, ya) * value(xb, yb).conjugate()).real
+            assert rho[i, j] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_grid_field_mode_out_of_domain_propagates():

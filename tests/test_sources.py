@@ -99,6 +99,24 @@ def test_line_source_rejects_bad_args():
         line_source(c, X, Y, d=10.0, n_elements=5, p=0.0)
 
 
+@pytest.mark.parametrize("count", [2.5, math.nan, math.inf, "3"])
+def test_line_source_rejects_non_integral_counts(count):
+    with pytest.raises(InvalidArgumentError, match="element count"):
+        line_source(Position(0.0, 0.0, 0.0), X, Y, d=100.0, n_elements=count)
+
+
+def test_line_source_accepts_integral_counts():
+    for count in (3, 3.0, np.int64(3)):
+        assert len(line_source(Position(0.0, 0.0, 0.0), X, Y, d=100.0, n_elements=count)) == 3
+
+
+def test_sampling_grid_rejects_non_integral_shape():
+    with pytest.raises(InvalidArgumentError, match="grid shape"):
+        SamplingGrid(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 0.0), shape=(2.7, 2, 1))
+    with pytest.raises(InvalidArgumentError, match="grid shape"):
+        SamplingGrid(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 0.0), shape=(2, 0, 1))
+
+
 def test_default_element_count_spacing_rule():
     k = 2.0 * math.pi / 1270.0
     for d in (50.0, 300.0, 1000.0):
