@@ -9,8 +9,8 @@ Two subcommands:
   exits nonzero if any invariant fails.
 
 Config field names mirror the library constructor parameters one-to-one.
-Sweep outputs are bitwise deterministic for a fixed config, independent of
-the worker count (PURCELLX_WORKERS).
+Sweep outputs are bitwise deterministic for a fixed config: every sweep
+runs on one thread, and no point's value depends on the rest of its grid.
 """
 
 from __future__ import annotations

@@ -82,9 +82,11 @@ def _require_finite(name: str, *values: float) -> None:
             raise InvalidArgumentError(f"{name} must be finite, got {v!r}")
 
 
-def _require_k(k: float) -> None:
-    if not (math.isfinite(k) and k > 0.0):
-        raise InvalidArgumentError(f"wavenumber must be positive, got {k!r}")
+def _require_k(k) -> None:
+    """Raise unless the wavenumber ``k`` (a float or an array of them) is finite and positive."""
+    for value in np.ravel(k):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidArgumentError(f"wavenumber must be positive, got {float(value)!r}")
 
 
 def _require_count(name: str, value) -> int:
@@ -159,10 +161,8 @@ def _point_arrays(*points: PolarizedPoint) -> tuple[np.ndarray, np.ndarray]:
     Scalar kernels are two-point calls of the pairwise ``cdos_matrix``
     kernels; these are the arrays they pass.
     """
-    positions = np.array([[p.position.x, p.position.y, p.position.z] for p in points])
-    orientations = np.array(
-        [[p.orientation.ux, p.orientation.uy, p.orientation.uz] for p in points]
-    )
+    positions = np.array([p.position.as_array() for p in points])
+    orientations = np.array([p.orientation.as_array() for p in points])
     return positions, orientations
 
 

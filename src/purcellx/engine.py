@@ -12,16 +12,14 @@ models the LDOS far from resonance would otherwise be zero and the ratio
 meaningless, which is also why CLI compositions always add a homogeneous
 background.
 
-Every sweep evaluates its grid points independently with a fixed per-point
-summation order, so results are bitwise identical between serial and
-parallel execution.
+A sweep asks each distinct model part once for its ``forms``, the values
+``w^H rho(k) w`` over the whole k grid.  No value depends on the other
+points of the grid, so a sweep agrees bitwise with :func:`decay_rate`.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Protocol, Union
 
@@ -39,6 +37,7 @@ from .core import (
     Wavenumber,
     _point_arrays,
     _require_count,
+    _require_k,
 )
 from .fields import projected_field
 from .homogeneous import HomogeneousGreens
@@ -56,12 +55,7 @@ __all__ = [
     "sweep_spectrum",
     "sweep_length",
     "coherence_classification",
-    "worker_count",
-    "WORKERS_ENV_VAR",
 ]
-
-#: Environment variable selecting the sweep worker count (default: all CPUs).
-WORKERS_ENV_VAR = "PURCELLX_WORKERS"
 
 
 class GreensModel(Protocol):
@@ -72,10 +66,11 @@ class GreensModel(Protocol):
 
     def structured_modes(self) -> tuple: ...
 
-    def cdos(self, a: PolarizedPoint, b: PolarizedPoint, k: Wavenumber) -> float: ...
-
     def cdos_matrix(self, positions: np.ndarray, orientations: np.ndarray,
                     k: Wavenumber) -> np.ndarray: ...
+
+    def forms(self, positions: np.ndarray, orientations: np.ndarray, weights: np.ndarray,
+              k_grid) -> np.ndarray: ...
 
 
 StructuredModel = Union[ModeSet, QnmPair]
@@ -139,11 +134,34 @@ def _source_arrays(src: ExtendedSource):
     return src.positions_array(), src.orientations_array(), src.weights_array()
 
 
-def _quadratic_form(model: GreensModel, positions, orientations, weights,
-                    k: Wavenumber) -> float:
-    rho = model.cdos_matrix(positions, orientations, k)
-    value = np.einsum("i,ij,j->", weights.conjugate(), rho, weights)
-    return float(value.real)
+def _double_sums(src: ExtendedSource, env: GreensModel, ref_env: GreensModel,
+                 k_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Environment and reference ``w^H rho(k) w``; each distinct part is contracted once."""
+    arrays = _source_arrays(src)
+    forms: dict = {}
+    sums = []
+    for model in (env, ref_env):
+        parts = (model.background, model.structured) if isinstance(model, CompositeGreens) \
+            else (model,)
+        for part in parts:
+            if part not in forms:
+                forms[part] = part.forms(*arrays, k_grid)
+        sums.append(sum(forms[part] for part in parts))
+    return tuple(sums)
+
+
+def _require_reference(denominator: float) -> None:
+    if not (denominator >= 1e-300):
+        raise DegenerateReferenceError(f"reference double sum is {denominator!r}; cannot normalize")
+
+
+def _require_at_each_point(check, values, grid) -> None:
+    """``check`` on each value; the first failure raises SweepPointError with its index."""
+    for i, value in enumerate(values):
+        try:
+            check(float(value))
+        except PurcellxError as exc:
+            raise SweepPointError(i, float(grid[i]), exc) from exc
 
 
 def decay_rate(src: ExtendedSource, env: GreensModel, ref_env: GreensModel,
@@ -153,19 +171,10 @@ def decay_rate(src: ExtendedSource, env: GreensModel, ref_env: GreensModel,
     Scaling every weight by a common nonzero constant leaves the ratio
     unchanged; a point source reduces it to the plain LDOS ratio.
     """
-    positions, orientations, weights = _source_arrays(src)
-    numerator = _quadratic_form(env, positions, orientations, weights, k)
-    denominator = _quadratic_form(ref_env, positions, orientations, weights, k)
-    if not (denominator > 0.0) or abs(denominator) < 1e-300:
-        raise DegenerateReferenceError(
-            f"reference double sum is {denominator!r}; cannot normalize"
-        )
-    return RateResult(
-        gamma_ratio=numerator / denominator,
-        numerator=numerator,
-        denominator=denominator,
-        k=k,
-    )
+    num, den = _double_sums(src, env, ref_env, np.array([k], dtype=float))
+    numerator, denominator = float(num[0]), float(den[0])
+    _require_reference(denominator)
+    return RateResult(numerator / denominator, numerator, denominator, k)
 
 
 def two_dipole_rate(a: PolarizedPoint, b: PolarizedPoint, p: float, phase: float,
@@ -184,75 +193,32 @@ def two_dipole_rate(a: PolarizedPoint, b: PolarizedPoint, p: float, phase: float
     return (p * p / 2.0) * (rho[0, 0] + rho[1, 1] + 2.0 * rho[0, 1] * math.cos(phase))
 
 
-def worker_count() -> int:
-    """Sweep parallelism, from PURCELLX_WORKERS or the CPU count."""
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise InvalidArgumentError(
-                f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}"
-            ) from exc
-        if value < 1:
-            raise InvalidArgumentError(f"{WORKERS_ENV_VAR} must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
-
-
-def _map_grid(fn: Callable[[int], object], count: int, workers: int | None):
-    workers = worker_count() if workers is None else max(1, int(workers))
-    if workers == 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
-def sweep_spectrum(src: ExtendedSource, env: GreensModel, ref_env: GreensModel,
-                   k_grid, workers: int | None = None) -> Spectrum:
-    """Normalized rate sampled over an ascending wavenumber grid."""
+def sweep_spectrum(src: ExtendedSource, env: GreensModel, ref_env: GreensModel, k_grid) -> Spectrum:
+    """Normalized rate over an ascending k grid; a projection error (k-free) reports point 0."""
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.ndim != 1 or k_grid.size == 0:
         raise InvalidArgumentError("k grid must be a non-empty 1D array")
     if k_grid.size > 1 and not np.all(np.diff(k_grid) > 0):
         raise InvalidArgumentError("k grid must be strictly ascending")
-    positions, orientations, weights = _source_arrays(src)
-
-    def at(i: int) -> float:
-        k = float(k_grid[i])
-        try:
-            num = _quadratic_form(env, positions, orientations, weights, k)
-            den = _quadratic_form(ref_env, positions, orientations, weights, k)
-            if not (den > 0.0) or abs(den) < 1e-300:
-                raise DegenerateReferenceError(
-                    f"reference double sum is {den!r}; cannot normalize"
-                )
-            return num / den
-        except PurcellxError as exc:
-            raise SweepPointError(i, k, exc) from exc
-
-    values = _map_grid(at, k_grid.size, workers)
-    return Spectrum(k_values=k_grid, samples=np.array(values, dtype=float))
+    _require_at_each_point(_require_k, k_grid, k_grid)
+    try:
+        num, den = _double_sums(src, env, ref_env, k_grid)
+    except PurcellxError as exc:
+        raise SweepPointError(0, float(k_grid[0]), exc) from exc
+    _require_at_each_point(_require_reference, den, k_grid)
+    return Spectrum(k_values=k_grid, samples=num / den)
 
 
 def _dominant_mode(env: GreensModel, center: Position, polarization: Orientation):
     modes = env.structured_modes()
     if not modes:
         return None
-    best = None
-    best_mag = -1.0
-    for mode in modes:
-        mag = abs(projected_field(mode.field, center, polarization))
-        if mag > best_mag:
-            best = mode
-            best_mag = mag
-    return best
+    return max(modes, key=lambda mode: abs(projected_field(mode.field, center, polarization)))
 
 
 def sweep_length(center: Position, axis: Orientation, polarization: Orientation,
-                 d_values, p: float, env: GreensModel, ref_env: GreensModel,
-                 k: Wavenumber, elements: int | Callable[[float], int] | None = None,
-                 workers: int | None = None) -> LengthSweep:
+                 d_values, p: float, env: GreensModel, ref_env: GreensModel, k: Wavenumber,
+                 elements: int | Callable[[float], int] | None = None) -> LengthSweep:
     """Normalized rate of a line source versus its length at fixed k.
 
     ``elements`` fixes the element count per length: an int, a callable
@@ -298,7 +264,7 @@ def sweep_length(center: Position, axis: Orientation, polarization: Orientation,
         except PurcellxError as exc:
             raise SweepPointError(i, d, exc) from exc
 
-    rows = _map_grid(at, d_values.size, workers)
+    rows = [at(i) for i in range(d_values.size)]
     return LengthSweep(
         d_values=d_values,
         gamma_ratio=np.array([r.gamma_ratio for r, _ in rows]),

@@ -89,8 +89,9 @@ def _factors_closed(x):
 
 
 def _factors_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the closed forms are inf/nan at x = 0; the series overwrites them there
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # the closed forms are inf/nan at x = 0 and overflow in 1/x**2 for tiny x;
+    # the series overwrites every x < TAYLOR_SWITCH, so those warnings are noise
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a, b = _factors_closed(x)
     small = x < TAYLOR_SWITCH
     if np.any(small):
@@ -134,22 +135,45 @@ class HomogeneousGreens:
         which halves the work and makes the matrix symmetric by construction.
         """
         _require_k(k)
-        kappa = self.n * k
+        iu, ju, *geometry = _pair_geometry(positions, orientations)
+        vals = _pair_values(self.n, k, *geometry)
         m = positions.shape[0]
-        iu, ju = np.triu_indices(m)
-        d = positions[ju] - positions[iu]
-        r = np.sqrt(np.einsum("ij,ij->i", d, d))
-        x = kappa * r
-        fa, fb = _factors_array(x)
-        unit = np.where(r[:, None] > 0.0, d / np.where(r == 0.0, 1.0, r)[:, None], 0.0)
-        uu = np.einsum("ij,ij->i", orientations[iu], orientations[ju])
-        ua_r = np.einsum("ij,ij->i", orientations[iu], unit)
-        ub_r = np.einsum("ij,ij->i", orientations[ju], unit)
-        vals = (2.0 * k / math.pi) * (kappa / (4.0 * math.pi)) * (fa * uu + fb * (ua_r * ub_r))
         out = np.empty((m, m), dtype=float)
         out[iu, ju] = vals
         out[ju, iu] = vals
         return out
+
+    def forms(self, positions: np.ndarray, orientations: np.ndarray, weights: np.ndarray,
+              k_grid) -> np.ndarray:
+        """The values ``w^H rho(k) w`` of a weighted source over a wavenumber grid.
+
+        The pair geometry is built once; a k costs the radial factors and one dot product.
+        """
+        k_grid = np.asarray(k_grid, dtype=float)
+        _require_k(k_grid)
+        iu, ju, *geometry = _pair_geometry(positions, orientations)
+        # an off-diagonal pair stands for both (i, j) and (j, i) of the Hermitian sum
+        c = np.where(iu == ju, 1.0, 2.0) * (weights[iu].conjugate() * weights[ju]).real
+        # einsum, not BLAS: a threaded ddot waits for its threads to wake at every k
+        return np.array([np.einsum("i,i->", _pair_values(self.n, k, *geometry), c) for k in k_grid])
+
+
+def _pair_geometry(positions: np.ndarray, orientations: np.ndarray):
+    """Pairs i <= j of M polarized points: i, j, r, u_i.u_j and (u_i.R^)(u_j.R^)."""
+    iu, ju = np.triu_indices(positions.shape[0])
+    d = positions[ju] - positions[iu]
+    r = np.sqrt(np.einsum("ij,ij->i", d, d))
+    unit = np.where(r[:, None] > 0.0, d / np.where(r == 0.0, 1.0, r)[:, None], 0.0)
+    uu = np.einsum("ij,ij->i", orientations[iu], orientations[ju])
+    ua_r = np.einsum("ij,ij->i", orientations[iu], unit)
+    return iu, ju, r, uu, ua_r * np.einsum("ij,ij->i", orientations[ju], unit)
+
+
+def _pair_values(n: float, k: Wavenumber, r, uu, urur) -> np.ndarray:
+    """Pair CDOS ``(2k/pi) Im[u_i . G u_j]``; only the radial factors depend on k."""
+    kappa = n * k
+    fa, fb = _factors_array(kappa * r)
+    return (2.0 * k / math.pi) * (kappa / (4.0 * math.pi)) * (fa * uu + fb * urur)
 
 
 def im_g_projected(env: HomogeneousGreens, a: PolarizedPoint, b: PolarizedPoint,

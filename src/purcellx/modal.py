@@ -84,39 +84,42 @@ class LossyMode:
         return self.gamma_m > self.k_m / 10.0
 
 
-def _pole_sum(modes, positions: np.ndarray, orientations: np.ndarray, k: Wavenumber,
-             product) -> np.ndarray:
-    """Pole expansion over M points: ``sum_m product(v_m, 1/(k_m - i g_m/2 - k))``.
+def _pole_sum(modes, positions: np.ndarray, orientations: np.ndarray, k, product,
+              weights: np.ndarray | None = None):
+    """Pole expansion: ``sum_m product(x_m, y_m, 1/(k_m - i g_m/2 - k))``.
 
-    ``v_m`` is mode m's field projected on the M polarized points and
-    ``product(v, pole)`` the mode's (M, M) contribution; the model class
-    chooses the product (:func:`_lorentzian_product`, :func:`_qnm_product`).
+    With ``v_m`` mode m's field on the M polarized points, ``x_m y_m`` is the
+    (M, M) outer product ``v_m v_m^T``.  Given source weights ``w``, ``x_m =
+    w^H v_m`` and ``y_m = v_m^T w`` instead, and over a k grid the sum is
+    ``w^H rho(k) w``.  The model class chooses the product.
     """
     _require_k(k)
-    terms = (
-        product(projected_field_many(mode.field, positions, orientations),
-                1.0 / (complex(mode.k_m, -0.5 * mode.gamma_m) - k))
-        for mode in modes
-    )
-    out = next(terms)
-    for term in terms:
-        out += term
-    return out
+    total = 0.0
+    for mode in modes:
+        v = projected_field_many(mode.field, positions, orientations)
+        x, y = (v[:, None], v) if weights is None else (np.vdot(weights, v), v @ weights)
+        total = total + product(x, y, 1.0 / (complex(mode.k_m, -0.5 * mode.gamma_m) - k))
+    return total
 
 
-def _lorentzian_product(v: np.ndarray, pole: complex) -> np.ndarray:
-    """Lossy-mode term: the real Lorentzian ``Im(pole)/pi`` times ``Re(v v^H)``."""
-    return (pole.imag / math.pi) * np.outer(v, v.conjugate()).real
+def _lorentzian_product(x, y, pole):
+    """Lossy-mode CDOS term: the real Lorentzian ``Im(pole)/pi`` times ``Re(v v^H)``."""
+    return (pole.imag / math.pi) * (x * y.conjugate()).real
 
 
-def _green_product(v: np.ndarray, pole: complex) -> np.ndarray:
-    """Quasinormal-mode Green's term ``pole v v^T``, with no conjugation."""
-    return np.outer(v, v) * pole
+def _lorentzian_form(x, y, pole):
+    """Lossy-mode term of ``w^H rho w``: ``Im(pole)/pi (|x|^2 + |y|^2)/2``."""
+    return (pole.imag / math.pi) * (0.5 * (abs(x) ** 2 + abs(y) ** 2))
 
 
-def _qnm_product(v: np.ndarray, pole: complex) -> np.ndarray:
-    """Quasinormal-mode CDOS term ``Im(pole v v^T)/pi``."""
-    return (1.0 / math.pi) * _green_product(v, pole).imag
+def _green_product(x, y, pole):
+    """Quasinormal-mode Green's term ``pole x y``, with no conjugation."""
+    return x * y * pole
+
+
+def _qnm_product(x, y, pole):
+    """Quasinormal-mode term ``Im(pole x y)/pi``, for the CDOS and ``w^H rho w`` alike."""
+    return (1.0 / math.pi) * _green_product(x, y, pole).imag
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,6 +147,12 @@ class ModeSet:
     def cdos_matrix(self, positions: np.ndarray, orientations: np.ndarray,
                     k: Wavenumber) -> np.ndarray:
         return _pole_sum(self.modes, positions, orientations, k, _lorentzian_product)
+
+    def forms(self, positions: np.ndarray, orientations: np.ndarray, weights: np.ndarray,
+              k_grid) -> np.ndarray:
+        """The values ``w^H rho(k) w`` of a weighted source over a wavenumber grid."""
+        return _pole_sum(self.modes, positions, orientations, np.asarray(k_grid, dtype=float),
+                         _lorentzian_form, weights)
 
 
 def cdos_modal(modes: ModeSet, a: PolarizedPoint, b: PolarizedPoint,

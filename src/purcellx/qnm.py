@@ -74,10 +74,6 @@ class Qnm:
             raise InvalidArgumentError(f"gamma_m must be positive, got {self.gamma_m!r}")
 
     @property
-    def complex_frequency(self) -> complex:
-        return complex(self.k_m, -0.5 * self.gamma_m)
-
-    @property
     def quality_factor(self) -> float:
         return self.k_m / self.gamma_m
 
@@ -112,6 +108,12 @@ class QnmPair:
     def cdos_matrix(self, positions: np.ndarray, orientations: np.ndarray,
                     k: Wavenumber) -> np.ndarray:
         return _pole_sum(self.structured_modes(), positions, orientations, k, _qnm_product)
+
+    def forms(self, positions: np.ndarray, orientations: np.ndarray, weights: np.ndarray,
+              k_grid) -> np.ndarray:
+        """The values ``w^H rho(k) w`` of a weighted source over a wavenumber grid."""
+        return _pole_sum(self.structured_modes(), positions, orientations,
+                         np.asarray(k_grid, dtype=float), _qnm_product, weights)
 
 
 def green_qnm_projected(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,

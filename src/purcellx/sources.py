@@ -167,9 +167,8 @@ def line_source(center: Position, axis: Orientation, polarization: Orientation,
     return ExtendedSource(elements=elements, reference=center)
 
 
-def default_element_count(d: float, k: Wavenumber, n: float = 1.0,
-                          per_wavelength: int = 20, minimum: int = 1) -> int:
-    """Element count giving spacing <= lambda/(per_wavelength * n).
+def default_element_count(d: float, k: Wavenumber, n: float = 1.0, minimum: int = 1) -> int:
+    """Element count giving spacing <= lambda/(20 n).
 
     This is the quadrature-convergence default for line sources; callers may
     always pass an explicit count instead.
@@ -179,7 +178,7 @@ def default_element_count(d: float, k: Wavenumber, n: float = 1.0,
     _require_k(k)
     if d == 0.0:
         return max(1, minimum)
-    spacing_max = 2.0 * math.pi / (k * n * per_wavelength)
+    spacing_max = 2.0 * math.pi / (k * n * 20)
     return max(minimum, int(math.ceil(d / spacing_max)) + 1)
 
 

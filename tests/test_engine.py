@@ -281,21 +281,56 @@ def test_homogeneous_line_numerator_peak_location():
     assert np.allclose(curve.gamma_ratio, 1.0, rtol=1e-12)
 
 
-def test_sweep_parallel_determinism():
-    mode = surrogate_l3()
-    env = CompositeGreens(HomogeneousGreens(1.0), ModeSet((mode,)))
-    src = line_source(Position(0, 0, 0), X, Y, d=300.0, n_elements=31, p=1.0)
-    g = mode.gamma_m
-    ks = np.linspace(mode.k_m - 2 * g, mode.k_m + 2 * g, 41)
-    serial = sweep_spectrum(src, env, VACUUM, ks, workers=1)
-    parallel = sweep_spectrum(src, env, VACUUM, ks, workers=8)
-    assert np.array_equal(np.asarray(serial.samples), np.asarray(parallel.samples))
+def _complex_qnm_pair():
+    from purcellx import AnalyticSurrogate, AnalyticSurrogateParams, Qnm, QnmPair
 
-    ds = np.linspace(0.0, 500.0, 26)
-    s1 = sweep_length(Position(0, 0, 0), X, Y, ds, 1.0, env, VACUUM, mode.k_m, workers=1)
-    s8 = sweep_length(Position(0, 0, 0), X, Y, ds, 1.0, env, VACUUM, mode.k_m, workers=8)
-    assert np.array_equal(s1.gamma_ratio, s8.gamma_ratio)
-    assert np.array_equal(s1.extremity_field, s8.extremity_field)
+    def qnm(x0, amplitude, k_m, gamma_m):
+        params = AnalyticSurrogateParams(x0, 400.0, 120.0, Y, amplitude)
+        return Qnm(AnalyticSurrogate(params), k_m=k_m, gamma_m=gamma_m)
+
+    return QnmPair(qnm(160.0, 0.8 + 0.6j, 0.0050, 2.5e-5),
+                   qnm(220.0, -0.3 + 1.1j, 0.00502, 1e-5))
+
+
+def test_sweep_point_independence():
+    """A sweep's value at a k depends on nothing but that k: it equals the
+    sweep over a sub-grid holding that k, and decay_rate there, bitwise."""
+    src = line_source(Position(0, 0, 0), X, Y, d=300.0, n_elements=31, p=1.0)
+    for model in (ModeSet((surrogate_l3(),)), _complex_qnm_pair()):
+        env = CompositeGreens(HomogeneousGreens(1.0), model)
+        mode = model.structured_modes()[0]
+        g = mode.gamma_m
+        ks = np.linspace(mode.k_m - 2 * g, mode.k_m + 2 * g, 41)
+        full = sweep_spectrum(src, env, VACUUM, ks).samples
+        sub = sweep_spectrum(src, env, VACUUM, ks[3::7]).samples
+        assert np.array_equal(full[3::7], sub)
+        single = [decay_rate(src, env, VACUUM, float(k)).gamma_ratio for k in ks]
+        assert np.array_equal(full, np.array(single))
+
+        ds = np.linspace(0.0, 500.0, 26)
+        curve = sweep_length(Position(0, 0, 0), X, Y, ds, 1.0, env, VACUUM, mode.k_m)
+        part = sweep_length(Position(0, 0, 0), X, Y, ds[1::5], 1.0, env, VACUUM, mode.k_m)
+        assert np.array_equal(curve.gamma_ratio[1::5], part.gamma_ratio)
+        assert np.array_equal(curve.extremity_field[1::5], part.extremity_field)
+
+
+def test_sweep_reports_first_negative_reference_point():
+    """A QNM reference whose field carries the phase pi/4 has the LDOS
+    Im(i pole)/pi = Re(pole)/pi ~ (k_m - k): it turns negative past k_m."""
+    from purcellx import AnalyticSurrogate, AnalyticSurrogateParams, Qnm, QnmPair
+
+    def qnm(amplitude):
+        params = AnalyticSurrogateParams(160.0, 400.0, 120.0, Y, amplitude)
+        return Qnm(AnalyticSurrogate(params), k_m=0.005, gamma_m=1e-5)
+
+    ref = QnmPair(qnm(complex(math.cos(math.pi / 4), math.sin(math.pi / 4))), qnm(0.0))
+    src = line_source(Position(0, 0, 0), X, Y, d=100.0, n_elements=5, p=1.0)
+    ks = 0.005 + 1e-5 * np.linspace(-3.0, 3.0, 12)
+    first = int(np.argmax(ks > 0.005))
+    with pytest.raises(SweepPointError) as err:
+        sweep_spectrum(src, VACUUM, ref, ks)
+    assert err.value.index == first == 6
+    assert isinstance(err.value.__cause__, DegenerateReferenceError)
 
 
 def test_sweep_errors_carry_point_index():
@@ -307,7 +342,7 @@ def test_sweep_errors_carry_point_index():
     env = ModeSet((LossyMode(grid, k_m=0.005, gamma_m=1e-5),))
     ds = np.array([50.0, 400.0])  # second length leaves the grid
     with pytest.raises(SweepPointError) as err:
-        sweep_length(Position(0, 0, 0), X, Y, ds, 1.0, env, VACUUM, 0.005, workers=1)
+        sweep_length(Position(0, 0, 0), X, Y, ds, 1.0, env, VACUUM, 0.005)
     assert err.value.index == 1
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -173,3 +174,18 @@ def test_nonpositive_wavenumber_rejected():
     p = PolarizedPoint(Position(0, 0, 0), Y)
     with pytest.raises(InvalidArgumentError):
         im_g_projected(env, p, p, 0.0)
+
+
+def test_tiny_separation_raises_no_warning():
+    """1/x**2 overflows for x below about 1e-154; the series branch takes
+    over there, and the closed form's overflow must not leak a warning."""
+    k = 0.005
+    a = PolarizedPoint(Position(0.0, 0.0, 0.0), Y)
+    b = PolarizedPoint(Position(1e-200 / k, 0.0, 0.0), Y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fa, fb = radial_factors(1e-200)
+        value = cdos(HomogeneousGreens(1.0), a, b, k)
+    assert fa == pytest.approx(2.0 / 3.0, rel=1e-15, abs=0.0)
+    assert abs(fb) < 1e-300
+    assert value == pytest.approx(free_space_ldos(k), rel=1e-15, abs=0.0)
