@@ -143,16 +143,11 @@ def _field_model(spec, path, base_dir):
     raise ConfigError(f"{path}.kind", f"unknown field model kind {kind!r}")
 
 
-def _mode(spec, path, base_dir) -> modal.LossyMode:
+def _mode(cls, spec, path, base_dir):
+    """A ``modal.LossyMode`` or ``qnm.Qnm`` entry: a field model plus its resonance."""
     field = _field_model(spec, path, base_dir)
     k_m, gamma_m = _resonance(spec, path)
-    return modal.LossyMode(field=field, k_m=k_m, gamma_m=gamma_m)
-
-
-def _qnm(spec, path, base_dir) -> qnm.Qnm:
-    field = _field_model(spec, path, base_dir)
-    k_m, gamma_m = _resonance(spec, path)
-    return qnm.Qnm(field=field, k_m=k_m, gamma_m=gamma_m)
+    return cls(field=field, k_m=k_m, gamma_m=gamma_m)
 
 
 def _environment(spec, path, base_dir):
@@ -163,15 +158,14 @@ def _environment(spec, path, base_dir):
         raw = _req(spec, "modes", path)
         if not isinstance(raw, list) or not raw:
             raise ConfigError(f"{path}.modes", "expected a non-empty list of modes")
-        return modal.ModeSet(tuple(_mode(m, f"{path}.modes[{i}]", base_dir) for i, m in enumerate(raw)))
+        return modal.ModeSet(tuple(_mode(modal.LossyMode, m, f"{path}.modes[{i}]", base_dir)
+                                   for i, m in enumerate(raw)))
     if kind == "qnm_pair":
         raw = _req(spec, "qnms", path)
         if not isinstance(raw, list) or len(raw) != 2:
             raise ConfigError(f"{path}.qnms", "expected exactly 2 entries")
-        return qnm.QnmPair(
-            qnm_a=_qnm(raw[0], f"{path}.qnms[0]", base_dir),
-            qnm_b=_qnm(raw[1], f"{path}.qnms[1]", base_dir),
-        )
+        return qnm.QnmPair(*(_mode(qnm.Qnm, m, f"{path}.qnms[{i}]", base_dir)
+                             for i, m in enumerate(raw)))
     if kind == "composite":
         background = homogeneous.HomogeneousGreens(
             n=_number(_req(spec, "background_n", path), f"{path}.background_n", minimum=1.0)
@@ -418,7 +412,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, output_format: str, verbose:
 # self-check suite
 
 
-def _check_coincidence(tol):
+def _check_coincidence():
     k = wavelength_to_k(1270.0)
     point = PolarizedPoint(Position(12.0, -7.0, 3.0), Orientation(0.0, 0.0, 1.0))
     worst = 0.0
@@ -427,18 +421,18 @@ def _check_coincidence(tol):
         got = homogeneous.cdos(env, point, point, k)
         expected = free_space_ldos(k, n)
         worst = max(worst, abs(got - expected) / expected)
-    return worst, tol, "cdos(a,a,k) vs n*k^2/(3*pi^2) for n in {1, 1.5, 3.48}"
+    return worst, "cdos(a,a,k) vs n*k^2/(3*pi^2) for n in {1, 1.5, 3.48}"
 
 
-def _check_branch_continuity(tol):
+def _check_branch_continuity():
     x = homogeneous.TAYLOR_SWITCH
     a_s, b_s = homogeneous._factors_series(x)
     a_c, b_c = homogeneous._factors_closed(x)
     worst = max(abs(a_s - a_c) / abs(a_c), abs(b_s - b_c) / abs(b_c))
-    return worst, tol, "series vs closed-form radial factors at the switch point"
+    return worst, "series vs closed-form radial factors at the switch point"
 
 
-def _check_symmetry(tol):
+def _check_symmetry():
     rng = np.random.default_rng(7)
     env = homogeneous.HomogeneousGreens(n=1.5)
     worst = 0.0
@@ -452,10 +446,10 @@ def _check_symmetry(tol):
         ba = homogeneous.cdos(env, PolarizedPoint(pb, ub), PolarizedPoint(pa, ua), k)
         scale = max(abs(ab), abs(ba), 1e-300)
         worst = max(worst, abs(ab - ba) / scale)
-    return worst, tol, "cdos swap symmetry over random geometries"
+    return worst, "cdos swap symmetry over random geometries"
 
 
-def _check_factorization(tol):
+def _check_factorization():
     mode = modal.surrogate_l3()
     ms = modal.ModeSet((mode,))
     rng = np.random.default_rng(11)
@@ -471,10 +465,10 @@ def _check_factorization(tol):
             r22 = modal.cdos_modal(ms, b, b, k)
             scale = max(r12 * r12, r11 * r22, 1e-300)
             worst = max(worst, abs(r12 * r12 - r11 * r22) / scale)
-    return worst, tol, "single-mode CDOS factorization rho_12^2 = rho_11 rho_22"
+    return worst, "single-mode CDOS factorization rho_12^2 = rho_11 rho_22"
 
 
-def _check_point_reduction(tol):
+def _check_point_reduction():
     k = wavelength_to_k(1270.0)
     mode = modal.surrogate_l3()
     env = engine.CompositeGreens(homogeneous.HomogeneousGreens(1.0), modal.ModeSet((mode,)))
@@ -484,10 +478,10 @@ def _check_point_reduction(tol):
     got = engine.decay_rate(src, env, ref, k).gamma_ratio
     expected = env.cdos(point, point, k) / ref.cdos(point, point, k)
     worst = abs(got - expected) / abs(expected)
-    return worst, tol, "point-source decay_rate equals the LDOS ratio"
+    return worst, "point-source decay_rate equals the LDOS ratio"
 
 
-def _check_fano_fixed_points(tol):
+def _check_fano_fixed_points():
     k_m, g = 0.005, 1e-5
     worst = max(
         abs(qnm.fano_profile(k_m, g, 1.0, k_m)),
@@ -497,7 +491,7 @@ def _check_fano_fixed_points(tol):
     ks = np.linspace(k_m - 10 * g, k_m + 10 * g, 101)
     lorentz = (g / 2) ** 2 / ((ks - k_m) ** 2 + (g / 2) ** 2)
     worst = max(worst, float(np.max(np.abs(qnm.fano_profile(k_m, g, math.inf, ks) - lorentz))))
-    return worst, tol, "Fano fixed points and the infinite-q Lorentzian limit"
+    return worst, "Fano fixed points and the infinite-q Lorentzian limit"
 
 
 def _random_qnm_pair(rng):
@@ -517,7 +511,7 @@ def _random_qnm_pair(rng):
     return qnm.QnmPair(make(k_a, g_a), make(k_b, g_b))
 
 
-def _check_fano_decomposition(tol, verbose=False):
+def _check_fano_decomposition(verbose=False):
     rng = np.random.default_rng(23)
     u = Orientation(1.0, 0.0, 0.0)
     worst = 0.0
@@ -538,10 +532,10 @@ def _check_fano_decomposition(tol, verbose=False):
     )
     if verbose:
         note += f"; per-config mean-q deviations: {['%.2e' % d for d in mean_devs]}"
-    return worst, tol, note
+    return worst, note
 
 
-def _check_modal_qnm_consistency(tol):
+def _check_modal_qnm_consistency():
     k_m = wavelength_to_k(1270.0)
     gamma = k_m / 2000.0
     params = modal.DEFAULT_SURROGATE_PARAMS
@@ -558,10 +552,10 @@ def _check_modal_qnm_consistency(tol):
         m = modal.cdos_modal(ms, a, b, float(k))
         q = qnm.cdos_qnm(pair, a, b, float(k))
         worst = max(worst, abs(m - q) / max(abs(m), 1e-300))
-    return worst, tol, "lossy-mode vs two-pole CDOS for a Q=2000 real-field mode"
+    return worst, "lossy-mode vs two-pole CDOS for a Q=2000 real-field mode"
 
 
-def _check_pair_doubling(tol):
+def _check_pair_doubling():
     mode = modal.surrogate_l3()
     env = modal.ModeSet((mode,))
     k = mode.k_m
@@ -572,10 +566,10 @@ def _check_pair_doubling(tol):
     anti = engine.two_dipole_rate(a, b_opp, 1.0, math.pi, env, k)
     sub = engine.two_dipole_rate(a, b_opp, 1.0, 0.0, env, k)
     worst = max(abs(anti - 2.0 * single) / (2.0 * single), abs(sub) / single)
-    return worst, tol, "opposite-sign pair: doubling at phase pi, null at phase 0"
+    return worst, "opposite-sign pair: doubling at phase pi, null at phase 0"
 
 
-def run_checks(verbose: bool = False, inject_fault: bool = False) -> int:
+def run_checks(verbose: bool = False) -> int:
     """Run the invariant suite; returns the process exit code."""
     checks = [
         ("coincidence-ldos", _check_coincidence, 1e-9),
@@ -584,15 +578,13 @@ def run_checks(verbose: bool = False, inject_fault: bool = False) -> int:
         ("single-mode-factorization", _check_factorization, 1e-9),
         ("point-dipole-reduction", _check_point_reduction, 1e-12),
         ("fano-fixed-points", _check_fano_fixed_points, 1e-9),
-        ("fano-decomposition", lambda tol: _check_fano_decomposition(tol, verbose), 1e-9),
+        ("fano-decomposition", lambda: _check_fano_decomposition(verbose), 1e-9),
         ("modal-qnm-consistency", _check_modal_qnm_consistency, 5e-3),
         ("pair-doubling", _check_pair_doubling, 1e-12),
     ]
     failures = 0
-    for i, (name, fn, tol) in enumerate(checks):
-        if inject_fault and i == 0:
-            tol = 0.0  # test hook: force the first invariant to fail
-        residual, tol, note = fn(tol)
+    for name, fn, tol in checks:
+        residual, note = fn()
         ok = residual <= tol
         failures += 0 if ok else 1
         status = "PASS" if ok else "FAIL"
@@ -626,20 +618,16 @@ def main(argv=None) -> int:
 
     check_p = sub.add_parser("check", help="run the cross-module invariant suite")
     check_p.add_argument("--verbose", action="store_true")
-    check_p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     args = parser.parse_args(argv)
 
     if args.command == "check":
-        return run_checks(verbose=args.verbose, inject_fault=args.inject_fault)
+        return run_checks(verbose=args.verbose)
 
     try:
         cfg = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except PurcellxError as exc:
-        # constructor-level validation surfaced during parsing
+    except (ConfigError, PurcellxError) as exc:
+        # a PurcellxError here is constructor-level validation surfaced during parsing
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

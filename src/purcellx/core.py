@@ -82,11 +82,15 @@ def _require_finite(name: str, *values: float) -> None:
             raise InvalidArgumentError(f"{name} must be finite, got {v!r}")
 
 
+def _require_positive(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidArgumentError(f"{name} must be positive, got {value!r}")
+
+
 def _require_k(k) -> None:
     """Raise unless the wavenumber ``k`` (a float or an array of them) is finite and positive."""
     for value in np.ravel(k):
-        if not (math.isfinite(value) and value > 0.0):
-            raise InvalidArgumentError(f"wavenumber must be positive, got {float(value)!r}")
+        _require_positive("wavenumber", float(value))
 
 
 def _require_count(name: str, value) -> int:
@@ -158,11 +162,13 @@ class PolarizedPoint:
 def _point_arrays(*points: PolarizedPoint) -> tuple[np.ndarray, np.ndarray]:
     """Positions and orientations of polarized points, each of shape (P, 3).
 
-    Scalar kernels are two-point calls of the pairwise ``cdos_matrix``
-    kernels; these are the arrays they pass.
+    Scalar kernels pass these arrays for two points to the pairwise
+    ``cdos_matrix`` kernels; an extended source passes them for its elements.
     """
-    positions = np.array([p.position.as_array() for p in points])
-    orientations = np.array([p.orientation.as_array() for p in points])
+    positions = np.array([(p.position.x, p.position.y, p.position.z) for p in points], dtype=float)
+    orientations = np.array(
+        [(p.orientation.ux, p.orientation.uy, p.orientation.uz) for p in points], dtype=float
+    )
     return positions, orientations
 
 
@@ -204,7 +210,7 @@ def free_space_ldos(k: Wavenumber, n: float = 1.0) -> float:
     Parameters
     ----------
     k : float
-        Vacuum wavenumber, must be positive.
+        Vacuum wavenumber, > 0.
     n : float
         Refractive index, must be >= 1.
     """
@@ -216,6 +222,5 @@ def free_space_ldos(k: Wavenumber, n: float = 1.0) -> float:
 
 def wavelength_to_k(wavelength_nm: float) -> Wavenumber:
     """Convert a vacuum wavelength in nanometers to a wavenumber ``2*pi/lambda``."""
-    if not (math.isfinite(wavelength_nm) and wavelength_nm > 0.0):
-        raise InvalidArgumentError(f"wavelength must be positive, got {wavelength_nm!r}")
+    _require_positive("wavelength", wavelength_nm)
     return 2.0 * math.pi / wavelength_nm

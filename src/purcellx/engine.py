@@ -43,7 +43,7 @@ from .fields import projected_field
 from .homogeneous import HomogeneousGreens
 from .modal import ModeSet
 from .qnm import QnmPair
-from .sources import ExtendedSource, default_element_count, line_source
+from .sources import ExtendedSource, default_element_count, line_source, pair_source
 
 __all__ = [
     "GreensModel",
@@ -134,13 +134,12 @@ def _source_arrays(src: ExtendedSource):
     return src.positions_array(), src.orientations_array(), src.weights_array()
 
 
-def _double_sums(src: ExtendedSource, env: GreensModel, ref_env: GreensModel,
-                 k_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Environment and reference ``w^H rho(k) w``; each distinct part is contracted once."""
+def _double_sums(src: ExtendedSource, k_grid: np.ndarray, *models: GreensModel) -> tuple:
+    """``w^H rho(k) w`` of each model over ``k_grid``; each distinct part is contracted once."""
     arrays = _source_arrays(src)
     forms: dict = {}
     sums = []
-    for model in (env, ref_env):
+    for model in models:
         parts = (model.background, model.structured) if isinstance(model, CompositeGreens) \
             else (model,)
         for part in parts:
@@ -148,6 +147,15 @@ def _double_sums(src: ExtendedSource, env: GreensModel, ref_env: GreensModel,
                 forms[part] = part.forms(*arrays, k_grid)
         sums.append(sum(forms[part] for part in parts))
     return tuple(sums)
+
+
+def _ascending_grid(name: str, values) -> np.ndarray:
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise InvalidArgumentError(f"{name} grid must be a non-empty 1D array")
+    if grid.size > 1 and not np.all(np.diff(grid) > 0):
+        raise InvalidArgumentError(f"{name} grid must be strictly ascending")
+    return grid
 
 
 def _require_reference(denominator: float) -> None:
@@ -171,7 +179,7 @@ def decay_rate(src: ExtendedSource, env: GreensModel, ref_env: GreensModel,
     Scaling every weight by a common nonzero constant leaves the ratio
     unchanged; a point source reduces it to the plain LDOS ratio.
     """
-    num, den = _double_sums(src, env, ref_env, np.array([k], dtype=float))
+    num, den = _double_sums(src, np.array([k], dtype=float), env, ref_env)
     numerator, denominator = float(num[0]), float(den[0])
     _require_reference(denominator)
     return RateResult(numerator / denominator, numerator, denominator, k)
@@ -181,28 +189,21 @@ def two_dipole_rate(a: PolarizedPoint, b: PolarizedPoint, p: float, phase: float
                     env: GreensModel, k: Wavenumber) -> float:
     """Coherent rate of two equal-amplitude dipoles with a relative phase.
 
-    Evaluates ``(p**2/2) * [rho_aa + rho_bb + 2 rho_ab cos(phase)]`` in CDOS
-    units, which equals the decay_rate numerator of the corresponding
-    pair source.  The interference term flips sign with the CDOS, so the
-    same phase can be superradiant at one pair of points and subradiant at
-    another.
+    This is the :func:`decay_rate` numerator of ``pair_source(a, b, p, phase)``,
+    ``(p**2/2) * [rho_aa + rho_bb + 2 rho_ab cos(phase)]`` in CDOS units.  The
+    interference term flips sign with the CDOS, so the same phase can be
+    superradiant at one pair of points and subradiant at another.
     """
-    if not (math.isfinite(p) and p > 0.0):
-        raise InvalidArgumentError(f"pair amplitude must be positive, got {p!r}")
-    rho = env.cdos_matrix(*_point_arrays(a, b), k)
-    return (p * p / 2.0) * (rho[0, 0] + rho[1, 1] + 2.0 * rho[0, 1] * math.cos(phase))
+    (num,) = _double_sums(pair_source(a, b, p, phase), np.array([k], dtype=float), env)
+    return float(num[0])
 
 
 def sweep_spectrum(src: ExtendedSource, env: GreensModel, ref_env: GreensModel, k_grid) -> Spectrum:
     """Normalized rate over an ascending k grid; a projection error (k-free) reports point 0."""
-    k_grid = np.asarray(k_grid, dtype=float)
-    if k_grid.ndim != 1 or k_grid.size == 0:
-        raise InvalidArgumentError("k grid must be a non-empty 1D array")
-    if k_grid.size > 1 and not np.all(np.diff(k_grid) > 0):
-        raise InvalidArgumentError("k grid must be strictly ascending")
+    k_grid = _ascending_grid("k", k_grid)
     _require_at_each_point(_require_k, k_grid, k_grid)
     try:
-        num, den = _double_sums(src, env, ref_env, k_grid)
+        num, den = _double_sums(src, k_grid, env, ref_env)
     except PurcellxError as exc:
         raise SweepPointError(0, float(k_grid[0]), exc) from exc
     _require_at_each_point(_require_reference, den, k_grid)
@@ -227,11 +228,7 @@ def sweep_length(center: Position, axis: Orientation, polarization: Orientation,
     the dominant mode's projected field at one line extremity, whose sign
     change marks the onset of negative center-extremity CDOS.
     """
-    d_values = np.asarray(d_values, dtype=float)
-    if d_values.ndim != 1 or d_values.size == 0:
-        raise InvalidArgumentError("d grid must be a non-empty 1D array")
-    if d_values.size > 1 and not np.all(np.diff(d_values) > 0):
-        raise InvalidArgumentError("d grid must be strictly ascending")
+    d_values = _ascending_grid("d", d_values)
     if np.any(d_values < 0):
         raise InvalidArgumentError("line lengths must be >= 0")
 

@@ -18,7 +18,9 @@ Grid-field file format (text, self-describing header)::
     components 3
     <one sample per line: Re Ex, Im Ex, Re Ey, Im Ey, Re Ez, Im Ez>
 
-with x-fastest sample ordering and floats carried at full double precision.
+with each ``dims`` entry at least 2, x-fastest sample ordering and floats
+carried at full double precision.  The body holds exactly one sample line
+per node, ``nx*ny[*nz]`` lines; only blank lines may follow the last one.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .core import (
     PolarizedPoint,
     Position,
     _point_arrays,
+    _require_positive,
 )
 
 __all__ = [
@@ -66,13 +69,9 @@ class AnalyticSurrogateParams:
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        for name, v in (
-            ("sign_change_half_width", self.sign_change_half_width),
-            ("sigma_x", self.sigma_x),
-            ("sigma_y", self.sigma_y),
-        ):
-            if not (math.isfinite(v) and v > 0.0):
-                raise InvalidArgumentError(f"{name} must be positive, got {v!r}")
+        _require_positive("sign_change_half_width", self.sign_change_half_width)
+        _require_positive("sigma_x", self.sigma_x)
+        _require_positive("sigma_y", self.sigma_y)
         amp = complex(self.amplitude)
         if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
             raise InvalidArgumentError(f"amplitude must be finite, got {amp!r}")
@@ -129,8 +128,8 @@ class GridField:
             raise InvalidArgumentError(
                 f"origin/spacing must have {ndim} entries for a {ndim}D grid"
             )
-        if any(s <= 0.0 or not math.isfinite(s) for s in spacing):
-            raise InvalidArgumentError("grid spacing must be positive and finite")
+        for s in spacing:
+            _require_positive("grid spacing", s)
         if any(not math.isfinite(v) for v in origin):
             raise InvalidArgumentError("grid origin must be finite")
         if any(n < 2 for n in data.shape[:-1]):
@@ -232,6 +231,8 @@ def load_grid_field(path) -> GridField:
     dims = header(0, "dims", int)
     if len(dims) not in (2, 3):
         raise GridFileError(path, 1, f"dims must list 2 or 3 axes, got {len(dims)}")
+    if min(dims) < 2:
+        raise GridFileError(path, 1, f"each dims entry must be >= 2, got {dims}")
     origin = header(1, "origin", float)
     spacing = header(2, "spacing", float)
     comps = header(3, "components", int)
@@ -246,6 +247,9 @@ def load_grid_field(path) -> GridField:
     body = lines[4:]
     if len(body) < count:
         raise GridFileError(path, len(lines), f"expected {count} sample lines, found {len(body)}")
+    for row, line in enumerate(body[count:]):
+        if line.strip():
+            raise GridFileError(path, 5 + count + row, f"expected {count} sample lines, found more")
 
     samples = np.empty((count, 3), dtype=complex)
     for row, line in enumerate(body[:count]):

@@ -35,6 +35,7 @@ from .core import (
     Wavenumber,
     _point_arrays,
     _require_k,
+    _require_positive,
     wavelength_to_k,
 )
 from .fields import (
@@ -64,10 +65,8 @@ class LossyMode:
     gamma_m: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.k_m) and self.k_m > 0.0):
-            raise InvalidArgumentError(f"k_m must be positive, got {self.k_m!r}")
-        if not (math.isfinite(self.gamma_m) and self.gamma_m > 0.0):
-            raise InvalidArgumentError(f"gamma_m must be positive, got {self.gamma_m!r}")
+        _require_positive("k_m", self.k_m)
+        _require_positive("gamma_m", self.gamma_m)
         if self.gamma_m > self.k_m / 10.0:
             warnings.warn(
                 f"mode damping gamma_m = {self.gamma_m!r} exceeds k_m/10; the "

@@ -28,6 +28,7 @@ from .core import (
     UndefinedPhaseError,
     Wavenumber,
     _point_arrays,
+    _require_positive,
 )
 from .fields import VectorFieldModel, projected_field, projected_field_many
 from .modal import _green_product, _pole_sum, _qnm_product
@@ -68,10 +69,8 @@ class Qnm:
     gamma_m: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.k_m) and self.k_m > 0.0):
-            raise InvalidArgumentError(f"k_m must be positive, got {self.k_m!r}")
-        if not (math.isfinite(self.gamma_m) and self.gamma_m > 0.0):
-            raise InvalidArgumentError(f"gamma_m must be positive, got {self.gamma_m!r}")
+        _require_positive("k_m", self.k_m)
+        _require_positive("gamma_m", self.gamma_m)
 
     @property
     def quality_factor(self) -> float:
@@ -142,8 +141,7 @@ def fano_profile(k_m: Wavenumber, gamma_m: float, q: float, k):
     unit-peak Lorentzian ``(g^2/4) / ((k-k_m)^2 + g^2/4)``; the profile is
     continuous in that limit even though q is not.
     """
-    if not (math.isfinite(gamma_m) and gamma_m > 0.0):
-        raise InvalidArgumentError(f"gamma_m must be positive, got {gamma_m!r}")
+    _require_positive("gamma_m", gamma_m)
     half = 0.5 * gamma_m
     detuning = np.asarray(k, dtype=float) - k_m
     denom = detuning**2 + half * half
@@ -227,14 +225,8 @@ def _decompose(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
         za, zb = projected_field_many(mode.field, positions, orientations)
         if min(abs(za), abs(zb)) < ZERO_FIELD_CUTOFF:
             continue
-        phi_a = _phase(za)
-        phi_b = _phase(zb)
-        if half_angle:
-            q = _tan_or_inf(0.5 * (phi_a + phi_b))
-        else:
-            qa = _tan_or_inf(phi_a)
-            qb = _tan_or_inf(phi_b)
-            q = math.inf if (math.isinf(qa) or math.isinf(qb)) else 0.5 * (qa + qb)
+        params = fano_q_params(_phase(za), _phase(zb))
+        q = params.q12_halfangle if half_angle else params.q12_mean
         coefficient = float(-2.0 * abs(za * zb) / (math.pi * mode.gamma_m))
         terms.append(FanoTerm(label=label, q=q, coefficient=coefficient))
     if not terms:

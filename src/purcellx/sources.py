@@ -27,8 +27,10 @@ from .core import (
     PolarizedPoint,
     Position,
     Wavenumber,
+    _point_arrays,
     _require_count,
     _require_k,
+    _require_positive,
 )
 
 __all__ = [
@@ -76,17 +78,10 @@ class ExtendedSource:
         return len(self.elements)
 
     def positions_array(self) -> np.ndarray:
-        return np.array(
-            [[e.point.position.x, e.point.position.y, e.point.position.z] for e in self.elements]
-        )
+        return _point_arrays(*(e.point for e in self.elements))[0]
 
     def orientations_array(self) -> np.ndarray:
-        return np.array(
-            [
-                [e.point.orientation.ux, e.point.orientation.uy, e.point.orientation.uz]
-                for e in self.elements
-            ]
-        )
+        return _point_arrays(*(e.point for e in self.elements))[1]
 
     def weights_array(self) -> np.ndarray:
         return np.array([e.weight for e in self.elements], dtype=complex)
@@ -109,8 +104,7 @@ def pair_source(a: PolarizedPoint, b: PolarizedPoint, p: float, phase: float) ->
     The 1/sqrt(2) keeps the summed squared weights equal to p**2.  The
     reference point is the midpoint of the two positions.
     """
-    if not (math.isfinite(p) and p > 0.0):
-        raise InvalidArgumentError(f"pair amplitude must be positive, got {p!r}")
+    _require_positive("pair amplitude", p)
     if not math.isfinite(phase):
         raise InvalidArgumentError(f"phase must be finite, got {phase!r}")
     w = p / math.sqrt(2.0)
@@ -140,8 +134,7 @@ def line_source(center: Position, axis: Orientation, polarization: Orientation,
     if not (math.isfinite(d) and d >= 0.0):
         raise InvalidArgumentError(f"line length must be >= 0, got {d!r}")
     n = _require_count("element count", n_elements)
-    if not (math.isfinite(p) and p > 0.0):
-        raise InvalidArgumentError(f"cluster amplitude must be positive, got {p!r}")
+    _require_positive("cluster amplitude", p)
     if n == 1 or d == 0.0:
         # a zero-length cluster is a single dipole carrying the full amplitude
         element = DipoleElement(

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from purcellx import cli
 from purcellx.cli import main
 
 POINT_SPECTRUM = """\
@@ -171,6 +172,27 @@ def test_length_sweep_requires_line_source(tmp_path, capsys):
     assert "source.kind" in capsys.readouterr().err
 
 
+def test_impossible_grid_dims_is_config_error(tmp_path, capsys):
+    (tmp_path / "neg.field").write_text(
+        "dims -2 3\norigin 0 0\nspacing 1 1\ncomponents 3\n" + "0 0 0 0 0 0\n" * 6
+    )
+    bad = POINT_SPECTRUM.replace(
+        """      - kind: surrogate_l3
+        x0_nm: 160.0
+        sigma_x_nm: 400.0
+        sigma_y_nm: 120.0
+        polarization: [0.0, 1.0, 0.0]
+        amplitude: 1.0
+""",
+        """      - kind: grid
+        path: neg.field
+""",
+    )
+    cfg = _write(tmp_path, bad)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_out_of_domain_is_runtime_error(tmp_path, capsys):
     from purcellx import GridField, save_grid_field
 
@@ -227,13 +249,15 @@ def test_csv_floats_have_roundtrip_precision(tmp_path):
     assert max(gammas) == summary["gamma_ratio_max"]
 
 
-def test_check_passes_and_fault_hook_fails(capsys):
+def test_check_passes_and_fault_hook_fails(capsys, monkeypatch):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
     assert "all invariants passed" in out
-    assert main(["check", "--inject-fault"]) == 1
+    # a residual above the 1e-9 tolerance of coincidence-ldos
+    monkeypatch.setattr(cli, "_check_coincidence", lambda: (1e-6, "forced residual"))
+    assert main(["check"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL" in out
+    assert "FAIL coincidence-ldos" in out
 
 
 def test_check_verbose_lists_residuals(capsys):

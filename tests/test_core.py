@@ -5,13 +5,54 @@ import pytest
 from hypothesis import given, strategies as st
 
 from purcellx import (
+    AnalyticSurrogate,
+    AnalyticSurrogateParams,
+    GridField,
+    HomogeneousGreens,
     InvalidArgumentError,
+    LossyMode,
     Orientation,
+    PolarizedPoint,
     Position,
+    Qnm,
     Spectrum,
+    fano_profile,
     free_space_ldos,
+    line_source,
+    pair_source,
+    two_dipole_rate,
     wavelength_to_k,
 )
+
+Y = Orientation(0.0, 1.0, 0.0)
+_FIELD = AnalyticSurrogate(AnalyticSurrogateParams(160.0, 400.0, 120.0, Y))
+_A = PolarizedPoint(Position(0.0, 0.0, 0.0), Y)
+_B = PolarizedPoint(Position(90.0, 0.0, 0.0), Y)
+_ORIGIN = Position(0.0, 0.0, 0.0)
+
+#: Every argument checked as finite and positive: (argument name, call with value v).
+POSITIVE_ARGUMENTS = {
+    "wavelength_to_k": ("wavelength", lambda v: wavelength_to_k(v)),
+    "free_space_ldos": ("wavenumber", lambda v: free_space_ldos(v)),
+    "k_grid": ("wavenumber", lambda v: HomogeneousGreens(1.0).forms(
+        np.zeros((1, 3)), np.array([[0.0, 1.0, 0.0]]), np.ones(1, dtype=complex),
+        np.array([0.01, v]))),
+    "surrogate_x0": ("sign_change_half_width",
+                     lambda v: AnalyticSurrogateParams(v, 400.0, 120.0, Y)),
+    "surrogate_sigma_x": ("sigma_x", lambda v: AnalyticSurrogateParams(160.0, v, 120.0, Y)),
+    "surrogate_sigma_y": ("sigma_y", lambda v: AnalyticSurrogateParams(160.0, 400.0, v, Y)),
+    "grid_spacing": ("grid spacing",
+                     lambda v: GridField(np.zeros((2, 2, 3), dtype=complex), (0, 0), (1.0, v))),
+    "lossy_k_m": ("k_m", lambda v: LossyMode(_FIELD, v, 1e-5)),
+    "lossy_gamma_m": ("gamma_m", lambda v: LossyMode(_FIELD, 0.005, v)),
+    "qnm_k_m": ("k_m", lambda v: Qnm(_FIELD, v, 1e-5)),
+    "qnm_gamma_m": ("gamma_m", lambda v: Qnm(_FIELD, 0.005, v)),
+    "fano_profile": ("gamma_m", lambda v: fano_profile(0.005, v, 1.0, 0.005)),
+    "pair_source": ("pair amplitude", lambda v: pair_source(_A, _B, v, 0.0)),
+    "two_dipole_rate": ("pair amplitude",
+                        lambda v: two_dipole_rate(_A, _B, v, 0.0, HomogeneousGreens(1.0), 0.01)),
+    "line_source": ("cluster amplitude", lambda v: line_source(_ORIGIN, Y, Y, 100.0, 5, v)),
+}
 
 
 def test_free_space_ldos_vacuum_value():
@@ -102,3 +143,13 @@ def test_spectrum_accepts_complex_samples():
     s = Spectrum(np.array([1.0, 2.0, 3.0]), np.array([1j, 2j, 3j]))
     assert len(s) == 3
     assert s.samples.dtype.kind == "c"
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("site", sorted(POSITIVE_ARGUMENTS))
+def test_positive_arguments_reject_bad_values(site, value):
+    name, call = POSITIVE_ARGUMENTS[site]
+    with pytest.raises(InvalidArgumentError) as err:
+        call(value)
+    # a wavenumber from an array is reported as a plain float, not a numpy repr
+    assert str(err.value) == f"{name} must be positive, got {value!r}"

@@ -133,6 +133,12 @@ def test_two_dipole_rate_equals_pair_source_numerator():
         assert direct == pytest.approx(via_source, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+def test_two_dipole_rate_rejects_non_finite_phase(phase):
+    with pytest.raises(InvalidArgumentError, match="phase must be finite"):
+        two_dipole_rate(_pp(0.0), _pp(90.0), 1.0, phase, VACUUM, 0.009)
+
+
 @given(phase=st.floats(min_value=-7.0, max_value=7.0))
 def test_two_dipole_rate_phase_identities(phase):
     env = HomogeneousGreens(1.0)

@@ -261,3 +261,32 @@ def test_sample_arity_error(tmp_path):
     with pytest.raises(GridFileError) as err:
         load_grid_field(path)
     assert err.value.line == 8
+
+
+def _grid_header(dims: str) -> str:
+    zeros = " ".join("0" for _ in dims.split())
+    ones = " ".join("1" for _ in dims.split())
+    return f"dims {dims}\norigin {zeros}\nspacing {ones}\ncomponents 3\n"
+
+
+@pytest.mark.parametrize("dims", ["-2 3", "1 4", "2 2 0"])
+def test_impossible_dims_rejected_at_line_1(tmp_path, dims):
+    path = tmp_path / "bad.field"
+    path.write_text(_grid_header(dims) + "0 0 0 0 0 0\n" * 4)
+    with pytest.raises(GridFileError) as err:
+        load_grid_field(path)
+    assert err.value.line == 1
+    assert "dims" in str(err.value)
+
+
+def test_body_longer_than_dims_rejected(tmp_path):
+    path = tmp_path / "long.field"
+    samples = "0 0 0 0 0 0\n" * 4
+    path.write_text(_grid_header("2 2") + samples + "\n1 2 3 4 5 6\n")
+    with pytest.raises(GridFileError) as err:
+        load_grid_field(path)
+    assert err.value.line == 10
+    assert "sample lines" in str(err.value)
+    # trailing blank lines stay allowed
+    path.write_text(_grid_header("2 2") + samples + "\n  \n")
+    assert load_grid_field(path).shape == (2, 2)
