@@ -11,6 +11,7 @@ Unit conventions used across the package:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -76,15 +77,20 @@ class SweepPointError(PurcellxError):
         self.grid_value = grid_value
 
 
-def _require_finite(name: str, *values: float) -> None:
+def _require_finite(name: str, *values: complex) -> None:
     for v in values:
-        if not math.isfinite(v):
+        if not cmath.isfinite(v):
             raise InvalidArgumentError(f"{name} must be finite, got {v!r}")
 
 
 def _require_positive(name: str, value) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise InvalidArgumentError(f"{name} must be positive, got {value!r}")
+
+
+def _require_at_least(name: str, value, minimum: float) -> None:
+    if not (math.isfinite(value) and value >= minimum):
+        raise InvalidArgumentError(f"{name} must be >= {minimum:g}, got {value!r}")
 
 
 def _require_k(k) -> None:
@@ -172,6 +178,14 @@ def _point_arrays(*points: PolarizedPoint) -> tuple[np.ndarray, np.ndarray]:
     return positions, orientations
 
 
+def _two_point(model, a: PolarizedPoint, b: PolarizedPoint, k: Wavenumber) -> float:
+    """Projected CDOS ``(2k/pi) Im[u_a . G(r_a, r_b, k) u_b]`` between two polarized points.
+
+    The (a, b) entry of ``model.cdos_matrix``; the projected LDOS when a == b.
+    """
+    return float(model.cdos_matrix(*_point_arrays(a, b), k)[0, 1])
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Samples of a frequency-dependent quantity on an ascending k grid."""
@@ -215,8 +229,7 @@ def free_space_ldos(k: Wavenumber, n: float = 1.0) -> float:
         Refractive index, must be >= 1.
     """
     _require_k(k)
-    if not (math.isfinite(n) and n >= 1.0):
-        raise InvalidArgumentError(f"refractive index must be >= 1, got {n!r}")
+    _require_at_least("refractive index", n, 1.0)
     return n * k * k / (3.0 * math.pi**2)
 
 

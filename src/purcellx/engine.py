@@ -35,9 +35,9 @@ from .core import (
     Spectrum,
     SweepPointError,
     Wavenumber,
-    _point_arrays,
     _require_count,
     _require_k,
+    _two_point,
 )
 from .fields import projected_field
 from .homogeneous import HomogeneousGreens
@@ -94,8 +94,7 @@ class CompositeGreens:
     def structured_modes(self) -> tuple:
         return self.structured.structured_modes()
 
-    def cdos(self, a: PolarizedPoint, b: PolarizedPoint, k: Wavenumber) -> float:
-        return float(self.cdos_matrix(*_point_arrays(a, b), k)[0, 1])
+    cdos = _two_point
 
     def cdos_matrix(self, positions: np.ndarray, orientations: np.ndarray,
                     k: Wavenumber) -> np.ndarray:
@@ -283,7 +282,7 @@ def coherence_classification(src: ExtendedSource, env: GreensModel,
     rho = env.cdos_matrix(positions, orientations, k)
     coherent = float(np.einsum("i,ij,j->", weights.conjugate(), rho, weights).real)
     incoherent = float(np.sum((weights.conjugate() * weights).real * np.diag(rho)))
-    if incoherent <= 0.0 or abs(incoherent) < 1e-300:
+    if not (incoherent >= 1e-300):
         raise DegenerateReferenceError(
             f"incoherent rate is {incoherent!r}; classification undefined"
         )

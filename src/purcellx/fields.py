@@ -39,6 +39,7 @@ from .core import (
     PolarizedPoint,
     Position,
     _point_arrays,
+    _require_finite,
     _require_positive,
 )
 
@@ -73,8 +74,7 @@ class AnalyticSurrogateParams:
         _require_positive("sigma_x", self.sigma_x)
         _require_positive("sigma_y", self.sigma_y)
         amp = complex(self.amplitude)
-        if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-            raise InvalidArgumentError(f"amplitude must be finite, got {amp!r}")
+        _require_finite("amplitude", amp)
         object.__setattr__(self, "amplitude", amp)
 
 
@@ -130,8 +130,7 @@ class GridField:
             )
         for s in spacing:
             _require_positive("grid spacing", s)
-        if any(not math.isfinite(v) for v in origin):
-            raise InvalidArgumentError("grid origin must be finite")
+        _require_finite("grid origin", *origin)
         if any(n < 2 for n in data.shape[:-1]):
             raise InvalidArgumentError("grids need at least 2 samples per axis")
         if not np.all(np.isfinite(data.view(float))):
@@ -213,8 +212,13 @@ def save_grid_field(field: GridField, path) -> None:
 
 def load_grid_field(path) -> GridField:
     """Read a grid field written by :func:`save_grid_field` (lossless round trip)."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            line = next(i for i, raw in enumerate(fh, 1) if not raw.isascii())
+        raise GridFileError(path, line, "non-ASCII byte") from exc
 
     def header(line_no: int, key: str, cast):
         if line_no >= len(lines):

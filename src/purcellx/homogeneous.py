@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    InvalidArgumentError,
     PolarizedPoint,
     Wavenumber,
-    _point_arrays,
+    _require_at_least,
     _require_k,
+    _two_point,
 )
 
 __all__ = [
@@ -101,8 +101,7 @@ def _factors_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def radial_factors(x: float) -> tuple[float, float]:
     """Transverse and longitudinal radial factors (A, B) at x = n*k*R."""
-    if x < 0.0 or not math.isfinite(x):
-        raise InvalidArgumentError(f"radial argument must be finite and >= 0, got {x!r}")
+    _require_at_least("radial argument", x, 0.0)
     a, b = _factors_array(np.array([x], dtype=float))
     return float(a[0]), float(b[0])
 
@@ -114,8 +113,7 @@ class HomogeneousGreens:
     n: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.n) and self.n >= 1.0):
-            raise InvalidArgumentError(f"refractive index must be >= 1, got {self.n!r}")
+        _require_at_least("refractive index", self.n, 1.0)
 
     @property
     def background_index(self) -> float:
@@ -124,8 +122,7 @@ class HomogeneousGreens:
     def structured_modes(self) -> tuple:
         return ()
 
-    def cdos(self, a: PolarizedPoint, b: PolarizedPoint, k: Wavenumber) -> float:
-        return cdos(self, a, b, k)
+    cdos = _two_point
 
     def cdos_matrix(self, positions: np.ndarray, orientations: np.ndarray,
                     k: Wavenumber) -> np.ndarray:
@@ -176,6 +173,9 @@ def _pair_values(n: float, k: Wavenumber, r, uu, urur) -> np.ndarray:
     return (2.0 * k / math.pi) * (kappa / (4.0 * math.pi)) * (fa * uu + fb * urur)
 
 
+cdos = _two_point
+
+
 def im_g_projected(env: HomogeneousGreens, a: PolarizedPoint, b: PolarizedPoint,
                    k: Wavenumber) -> float:
     """Imaginary projected Green's function Im[u_a . G(r_a, r_b, k) u_b].
@@ -185,14 +185,3 @@ def im_g_projected(env: HomogeneousGreens, a: PolarizedPoint, b: PolarizedPoint,
     medium wavelength and can take either sign.
     """
     return cdos(env, a, b, k) * math.pi / (2.0 * k)
-
-
-def cdos(env: HomogeneousGreens, a: PolarizedPoint, b: PolarizedPoint,
-         k: Wavenumber) -> float:
-    """Projected cross density of states between two polarized points.
-
-    Defined as ``(2k/pi) * Im[u_a . G u_b]``; coincides with the projected
-    LDOS when the two points and orientations are equal.  A two-point call
-    of :meth:`HomogeneousGreens.cdos_matrix`.
-    """
-    return float(env.cdos_matrix(*_point_arrays(a, b), k)[0, 1])

@@ -31,11 +31,10 @@ import numpy as np
 from .core import (
     InvalidArgumentError,
     Orientation,
-    PolarizedPoint,
     Wavenumber,
-    _point_arrays,
     _require_k,
     _require_positive,
+    _two_point,
     wavelength_to_k,
 )
 from .fields import (
@@ -57,8 +56,8 @@ __all__ = [
 
 
 @dataclass(frozen=True, slots=True)
-class LossyMode:
-    """A mode field with resonance wavenumber k_m and damping rate gamma_m."""
+class _PoleMode:
+    """A mode field with a pole at ``k_m - i*gamma_m/2``; equality also compares the class."""
 
     field: VectorFieldModel
     k_m: Wavenumber
@@ -67,16 +66,25 @@ class LossyMode:
     def __post_init__(self):
         _require_positive("k_m", self.k_m)
         _require_positive("gamma_m", self.gamma_m)
-        if self.gamma_m > self.k_m / 10.0:
+
+    @property
+    def quality_factor(self) -> float:
+        return self.k_m / self.gamma_m
+
+
+@dataclass(frozen=True, slots=True)
+class LossyMode(_PoleMode):
+    """A lossy eigenmode; construction warns when the mode is :attr:`high_loss`."""
+
+    def __post_init__(self):
+        # zero-argument super() breaks in slotted dataclasses
+        _PoleMode.__post_init__(self)
+        if self.high_loss:
             warnings.warn(
                 f"mode damping gamma_m = {self.gamma_m!r} exceeds k_m/10; the "
                 "discrete-lossy-mode picture is a low-loss approximation",
                 stacklevel=3,
             )
-
-    @property
-    def quality_factor(self) -> float:
-        return self.k_m / self.gamma_m
 
     @property
     def high_loss(self) -> bool:
@@ -123,7 +131,11 @@ def _qnm_product(x, y, pole):
 
 @dataclass(frozen=True, slots=True)
 class ModeSet:
-    """Non-empty collection of lossy modes acting as a Green's model."""
+    """Non-empty collection of lossy modes acting as a Green's model.
+
+    Between points where a mode field has opposite signs, that mode's CDOS
+    contribution is negative at every frequency.
+    """
 
     modes: tuple[LossyMode, ...]
 
@@ -140,8 +152,7 @@ class ModeSet:
     def structured_modes(self) -> tuple[LossyMode, ...]:
         return self.modes
 
-    def cdos(self, a: PolarizedPoint, b: PolarizedPoint, k: Wavenumber) -> float:
-        return cdos_modal(self, a, b, k)
+    cdos = _two_point
 
     def cdos_matrix(self, positions: np.ndarray, orientations: np.ndarray,
                     k: Wavenumber) -> np.ndarray:
@@ -154,16 +165,7 @@ class ModeSet:
                          _lorentzian_form, weights)
 
 
-def cdos_modal(modes: ModeSet, a: PolarizedPoint, b: PolarizedPoint,
-               k: Wavenumber) -> float:
-    """CDOS of a lossy-mode set: a Lorentzian per mode, weighted by the
-    real part of the projected field product at the two points.
-
-    At coincidence this is the modal LDOS; between points where a mode field
-    has opposite signs the contribution is negative at every frequency.
-    """
-    return float(modes.cdos_matrix(*_point_arrays(a, b), k)[0, 1])
-
+cdos_modal = _two_point
 
 DEFAULT_SURROGATE_PARAMS = AnalyticSurrogateParams(
     sign_change_half_width=160.0,

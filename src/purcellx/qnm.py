@@ -28,10 +28,12 @@ from .core import (
     UndefinedPhaseError,
     Wavenumber,
     _point_arrays,
+    _require_finite,
     _require_positive,
+    _two_point,
 )
-from .fields import VectorFieldModel, projected_field, projected_field_many
-from .modal import _green_product, _pole_sum, _qnm_product
+from .fields import projected_field, projected_field_many
+from .modal import _PoleMode, _green_product, _pole_sum, _qnm_product
 
 __all__ = [
     "Qnm",
@@ -57,24 +59,12 @@ _TAN_POLE_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
-class Qnm:
+class Qnm(_PoleMode):
     """A quasinormal mode: complex-valued field plus complex resonance.
 
     The complex eigenfrequency is ``k_m - i*gamma_m/2`` in wavenumber units.
     Fields are accepted as-is; no normalization integral is computed.
     """
-
-    field: VectorFieldModel
-    k_m: Wavenumber
-    gamma_m: float
-
-    def __post_init__(self):
-        _require_positive("k_m", self.k_m)
-        _require_positive("gamma_m", self.gamma_m)
-
-    @property
-    def quality_factor(self) -> float:
-        return self.k_m / self.gamma_m
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,8 +91,7 @@ class QnmPair:
             return self.qnm_b
         raise InvalidArgumentError(f"unknown mode label {label!r}")
 
-    def cdos(self, a: PolarizedPoint, b: PolarizedPoint, k: Wavenumber) -> float:
-        return cdos_qnm(self, a, b, k)
+    cdos = _two_point
 
     def cdos_matrix(self, positions: np.ndarray, orientations: np.ndarray,
                     k: Wavenumber) -> np.ndarray:
@@ -126,10 +115,7 @@ def green_qnm_projected(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
     return complex(pole_sum[0, 1]) / (2.0 * k)
 
 
-def cdos_qnm(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
-             k: Wavenumber) -> float:
-    """CDOS of the two-mode model, ``(2k/pi) Im[u_a . G u_b]``."""
-    return float(pair.cdos_matrix(*_point_arrays(a, b), k)[0, 1])
+cdos_qnm = _two_point
 
 
 def fano_profile(k_m: Wavenumber, gamma_m: float, q: float, k):
@@ -213,8 +199,7 @@ class FanoTerm:
     coefficient: float
 
     def __post_init__(self):
-        if not math.isfinite(self.coefficient):
-            raise InvalidArgumentError(f"coefficient must be finite, got {self.coefficient!r}")
+        _require_finite("coefficient", self.coefficient)
 
 
 def _decompose(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,

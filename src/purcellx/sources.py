@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -28,7 +28,9 @@ from .core import (
     Position,
     Wavenumber,
     _point_arrays,
+    _require_at_least,
     _require_count,
+    _require_finite,
     _require_k,
     _require_positive,
 )
@@ -54,17 +56,20 @@ class DipoleElement:
 
     def __post_init__(self):
         w = complex(self.weight)
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-            raise InvalidArgumentError(f"element weight must be finite, got {w!r}")
+        _require_finite("element weight", w)
         object.__setattr__(self, "weight", w)
 
 
 @dataclass(frozen=True, slots=True)
 class ExtendedSource:
-    """Non-empty list of mutually coherent dipole elements plus a reference point."""
+    """Non-empty list of mutually coherent dipole elements plus a reference point.
+
+    The element arrays are built once, at construction, and are read-only.
+    """
 
     elements: tuple[DipoleElement, ...]
     reference: Position
+    _arrays: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elements = tuple(self.elements)
@@ -72,19 +77,24 @@ class ExtendedSource:
             raise InvalidArgumentError("ExtendedSource requires at least one element")
         if all(e.weight == 0 for e in elements):
             raise InvalidArgumentError("ExtendedSource requires a nonzero weight")
+        arrays = (*_point_arrays(*(e.point for e in elements)),
+                  np.array([e.weight for e in elements], dtype=complex))
+        for array in arrays:
+            array.flags.writeable = False
         object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_arrays", arrays)
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def positions_array(self) -> np.ndarray:
-        return _point_arrays(*(e.point for e in self.elements))[0]
+        return self._arrays[0]
 
     def orientations_array(self) -> np.ndarray:
-        return _point_arrays(*(e.point for e in self.elements))[1]
+        return self._arrays[1]
 
     def weights_array(self) -> np.ndarray:
-        return np.array([e.weight for e in self.elements], dtype=complex)
+        return self._arrays[2]
 
 
 def point_source(p: PolarizedPoint, amplitude: complex = 1.0 + 0.0j) -> ExtendedSource:
@@ -105,8 +115,7 @@ def pair_source(a: PolarizedPoint, b: PolarizedPoint, p: float, phase: float) ->
     reference point is the midpoint of the two positions.
     """
     _require_positive("pair amplitude", p)
-    if not math.isfinite(phase):
-        raise InvalidArgumentError(f"phase must be finite, got {phase!r}")
+    _require_finite("phase", phase)
     w = p / math.sqrt(2.0)
     midpoint = Position(
         0.5 * (a.position.x + b.position.x),
@@ -131,8 +140,7 @@ def line_source(center: Position, axis: Orientation, polarization: Orientation,
     all weighted p/sqrt(N).  N = 1 or d = 0 degenerates to a point source at
     the center.
     """
-    if not (math.isfinite(d) and d >= 0.0):
-        raise InvalidArgumentError(f"line length must be >= 0, got {d!r}")
+    _require_at_least("line length", d, 0.0)
     n = _require_count("element count", n_elements)
     _require_positive("cluster amplitude", p)
     if n == 1 or d == 0.0:
@@ -160,19 +168,17 @@ def line_source(center: Position, axis: Orientation, polarization: Orientation,
     return ExtendedSource(elements=elements, reference=center)
 
 
-def default_element_count(d: float, k: Wavenumber, n: float = 1.0, minimum: int = 1) -> int:
+def default_element_count(d: float, k: Wavenumber, n: float = 1.0) -> int:
     """Element count giving spacing <= lambda/(20 n).
 
     This is the quadrature-convergence default for line sources; callers may
     always pass an explicit count instead.
     """
-    if d < 0.0 or not math.isfinite(d):
-        raise InvalidArgumentError(f"line length must be >= 0, got {d!r}")
+    _require_at_least("line length", d, 0.0)
     _require_k(k)
-    if d == 0.0:
-        return max(1, minimum)
+    _require_at_least("refractive index", n, 1.0)
     spacing_max = 2.0 * math.pi / (k * n * 20)
-    return max(minimum, int(math.ceil(d / spacing_max)) + 1)
+    return int(math.ceil(d / spacing_max)) + 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,8 +200,7 @@ class SamplingGrid:
         shape = tuple(_require_count("grid shape entry", v) for v in self.shape)
         if len(lo) != 3 or len(hi) != 3 or len(shape) != 3:
             raise InvalidArgumentError("SamplingGrid needs 3 entries per field")
-        if any(not math.isfinite(v) for v in lo + hi):
-            raise InvalidArgumentError("grid corners must be finite")
+        _require_finite("grid corners", *lo, *hi)
         if any(h < l for l, h in zip(lo, hi)):
             raise InvalidArgumentError("grid hi corner must not be below lo corner")
         object.__setattr__(self, "lo", lo)

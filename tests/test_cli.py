@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import yaml
 
 from purcellx import cli
 from purcellx.cli import main
@@ -275,3 +276,142 @@ def test_shipped_configs_parse():
     for name in os.listdir(configs):
         cfg = parse_config(os.path.join(configs, name))
         assert cfg.scenario
+
+
+_DELETE = object()
+
+
+def _edited(text, edits):
+    """``text`` parsed as YAML with ``edits`` applied: {dotted key path: value or _DELETE}."""
+    cfg = yaml.safe_load(text)
+    for dotted, value in edits.items():
+        *parents, last = [int(key) if key.isdigit() else key for key in dotted.split(".")]
+        node = cfg
+        for key in parents:
+            node = node[key]
+        if value is _DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    return yaml.safe_dump(cfg)
+
+
+_MODE = "environment.structured.modes.0"
+_MODE_PATH = "environment.structured.modes[0]"
+_LAMBDA_GRID = {"start": 1269.0, "stop": 1271.0, "count": 41}
+_QNM = {"kind": "surrogate_l3", "x0_nm": 160.0, "sigma_x_nm": 400.0, "sigma_y_nm": 120.0,
+        "polarization": [0.0, 1.0, 0.0], "lambda_m_nm": 1270.0, "q": 2000.0}
+_ENDPOINT = {"position": [0.0, 0.0, 0.0], "orientation": [0.0, 1.0, 0.0]}
+
+#: (base config, edits, field path the config error names)
+CONFIG_ERRORS = [
+    (POINT_SPECTRUM, {"scenario": ""}, "scenario"),
+    (POINT_SPECTRUM, {"scenario": _DELETE}, "scenario"),
+    (POINT_SPECTRUM, {"environment": "vacuum"}, "environment"),
+    (POINT_SPECTRUM, {"environment.kind": "bogus"}, "environment.kind"),
+    (POINT_SPECTRUM, {"environment.background_n": 0.5}, "environment.background_n"),
+    (POINT_SPECTRUM, {"environment.structured": {"kind": "homogeneous", "n": 1.0}},
+     "environment.structured.kind"),
+    (POINT_SPECTRUM, {"environment.structured.modes": []}, "environment.structured.modes"),
+    (POINT_SPECTRUM, {"environment.structured": {"kind": "qnm_pair", "qnms": [_QNM]}},
+     "environment.structured.qnms"),
+    (POINT_SPECTRUM, {f"{_MODE}.kind": "bogus"}, f"{_MODE_PATH}.kind"),
+    (POINT_SPECTRUM, {f"{_MODE}.x0_nm": "wide"}, f"{_MODE_PATH}.x0_nm"),
+    (POINT_SPECTRUM, {f"{_MODE}.sigma_x_nm": math.inf}, f"{_MODE_PATH}.sigma_x_nm"),
+    (POINT_SPECTRUM, {f"{_MODE}.polarization": [0.0, 0.0, 0.0]}, f"{_MODE_PATH}.polarization"),
+    (POINT_SPECTRUM, {f"{_MODE}.polarization": [0.0, 1.0]}, f"{_MODE_PATH}.polarization"),
+    (POINT_SPECTRUM, {f"{_MODE}.amplitude": "one"}, f"{_MODE_PATH}.amplitude"),
+    (POINT_SPECTRUM, {f"{_MODE}.k_m": 0.005}, _MODE_PATH),
+    (POINT_SPECTRUM, {f"{_MODE}.lambda_m_nm": _DELETE}, _MODE_PATH),
+    (POINT_SPECTRUM, {f"{_MODE}.gamma_m": 1e-6}, _MODE_PATH),
+    (POINT_SPECTRUM, {f"{_MODE}.q": _DELETE}, _MODE_PATH),
+    (POINT_SPECTRUM, {f"{_MODE}.q": 0.0}, f"{_MODE_PATH}.q"),
+    (POINT_SPECTRUM, {f"{_MODE}.lambda_m_nm": -1270.0}, f"{_MODE_PATH}.lambda_m_nm"),
+    (POINT_SPECTRUM, {"source.kind": "bogus"}, "source.kind"),
+    (POINT_SPECTRUM, {"source.amplitude": 0.0}, "source.amplitude"),
+    (POINT_SPECTRUM, {"source.position": [0.0, "x", 0.0]}, "source.position[1]"),
+    (POINT_SPECTRUM, {"source.position": [math.nan, 0.0, 0.0]}, "source.position[0]"),
+    (POINT_SPECTRUM, {"source": {"kind": "pair", "a": _ENDPOINT}}, "source.b"),
+    (POINT_SPECTRUM, {"source": {"kind": "pair", "a": _ENDPOINT, "b": _ENDPOINT,
+                                 "amplitude": -1.0}}, "source.amplitude"),
+    (POINT_SPECTRUM, {"source": {"kind": "pair", "a": _ENDPOINT, "b": _ENDPOINT,
+                                 "phase": math.inf}}, "source.phase"),
+    (POINT_SPECTRUM, {"sweep.kind": "bogus"}, "sweep.kind"),
+    (POINT_SPECTRUM, {"sweep.lambda_nm": _DELETE}, "sweep"),
+    (POINT_SPECTRUM, {"sweep.lambda_nm.count": 0}, "sweep.lambda_nm.count"),
+    (POINT_SPECTRUM, {"sweep.lambda_nm.stop": 1268.0}, "sweep.lambda_nm.stop"),
+    (POINT_SPECTRUM, {"sweep.lambda_nm.start": -1.0}, "sweep.lambda_nm.start"),
+    (POINT_SPECTRUM, {"sweep.lambda_nm": _DELETE,
+                      "sweep.k": {"start": -0.001, "stop": 0.005, "count": 11}}, "sweep.k.start"),
+    (LINE_LENGTH, {"source.elements": 0}, "source.elements"),
+    (LINE_LENGTH, {"source.d_nm": -1.0}, "source.d_nm"),
+    (LINE_LENGTH, {"sweep.d_nm.start": -10.0}, "sweep.d_nm.start"),
+    (LINE_LENGTH, {"sweep.lambda_nm": 0.0}, "sweep.lambda_nm"),
+    (LINE_LENGTH, {"sweep.lambda_nm": _DELETE, "sweep.k": -0.005}, "sweep.k"),
+    (LINE_LENGTH, {"sweep": {"kind": "spectrum", "lambda_nm": _LAMBDA_GRID}}, "source.d_nm"),
+]
+
+
+@pytest.mark.parametrize("base,edits,field", CONFIG_ERRORS)
+def test_config_errors_name_their_field(tmp_path, capsys, base, edits, field):
+    cfg = _write(tmp_path, _edited(base, edits))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+@pytest.mark.parametrize("text", ["scenario: [unclosed\n", "- a list\n"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, text):
+    for cfg in (_write(tmp_path, text), str(tmp_path / "missing.yaml")):
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: config: ")
+
+
+def _rows(out_dir, name):
+    return [l for l in (out_dir / name).read_text().splitlines() if not l.startswith("#")]
+
+
+def test_k_m_gamma_m_and_length_sweep_k_match_their_wavelength_forms(tmp_path):
+    k_m = 2.0 * math.pi / 1270.0
+    pairs = [
+        (POINT_SPECTRUM, {f"{_MODE}.lambda_m_nm": _DELETE, f"{_MODE}.q": _DELETE,
+                          f"{_MODE}.k_m": k_m, f"{_MODE}.gamma_m": k_m / 2000.0},
+         "demo-point_spectrum.csv"),
+        (LINE_LENGTH, {"sweep.lambda_nm": _DELETE, "sweep.k": k_m}, "demo-length_length.csv"),
+    ]
+    for i, (base, edits, name) in enumerate(pairs):
+        outs = []
+        for j, text in enumerate((base, _edited(base, edits))):
+            out = tmp_path / f"out{i}{j}"
+            cfg = _write(tmp_path, text, f"scenario{i}{j}.yaml")
+            assert main(["run", "--config", cfg, "--out", str(out), "--format", "csv"]) == 0
+            outs.append(_rows(out, name))
+        assert outs[0] == outs[1]
+
+
+
+def _grid_mode_config(path_value):
+    return _edited(POINT_SPECTRUM, {_MODE: {"kind": "grid", "path": path_value,
+                                            "lambda_m_nm": 1270.0, "q": 2000.0}})
+
+
+@pytest.mark.parametrize("case", ["bom", "directory", "number"])
+def test_unusable_grid_path_is_config_error(tmp_path, capsys, case):
+    if case == "bom":
+        (tmp_path / "bom.field").write_bytes(b"\xef\xbb\xbfdims 2 2\n")
+        path_value = "bom.field"
+    elif case == "directory":
+        (tmp_path / "fields").mkdir()
+        path_value = "fields"
+    else:
+        path_value = 123
+    cfg = _write(tmp_path, _grid_mode_config(path_value))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {_MODE_PATH}.path: ")
+
+
+def test_unwritable_output_is_runtime_error(tmp_path, capsys):
+    cfg = _write(tmp_path, POINT_SPECTRUM)
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    assert main(["run", "--config", cfg, "--out", str(taken)]) == 3
+    assert capsys.readouterr().err.startswith("runtime error: ")

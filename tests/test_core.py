@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from purcellx import (
     AnalyticSurrogate,
     AnalyticSurrogateParams,
+    DipoleElement,
+    FanoTerm,
     GridField,
     HomogeneousGreens,
     InvalidArgumentError,
@@ -15,7 +17,9 @@ from purcellx import (
     PolarizedPoint,
     Position,
     Qnm,
+    SamplingGrid,
     Spectrum,
+    default_element_count,
     fano_profile,
     free_space_ldos,
     line_source,
@@ -23,6 +27,7 @@ from purcellx import (
     two_dipole_rate,
     wavelength_to_k,
 )
+from purcellx.homogeneous import radial_factors
 
 Y = Orientation(0.0, 1.0, 0.0)
 _FIELD = AnalyticSurrogate(AnalyticSurrogateParams(160.0, 400.0, 120.0, Y))
@@ -52,6 +57,37 @@ POSITIVE_ARGUMENTS = {
     "two_dipole_rate": ("pair amplitude",
                         lambda v: two_dipole_rate(_A, _B, v, 0.0, HomogeneousGreens(1.0), 0.01)),
     "line_source": ("cluster amplitude", lambda v: line_source(_ORIGIN, Y, Y, 100.0, 5, v)),
+}
+
+#: Every argument checked as finite: (argument name, call with value v, takes complex values).
+FINITE_ARGUMENTS = {
+    "position": ("Position coordinates", lambda v: Position(0.0, v, 0.0), False),
+    "orientation": ("Orientation components", lambda v: Orientation(v, 0.0, 0.0), False),
+    "orientation_from_vector": ("Orientation components",
+                                lambda v: Orientation.from_vector(1.0, 0.0, v), False),
+    "element_weight": ("element weight", lambda v: DipoleElement(_A, v), True),
+    "surrogate_amplitude": ("amplitude",
+                            lambda v: AnalyticSurrogateParams(160.0, 400.0, 120.0, Y, v), True),
+    "pair_phase": ("phase", lambda v: pair_source(_A, _B, 1.0, v), False),
+    "fano_coefficient": ("coefficient", lambda v: FanoTerm("a", 1.0, v), False),
+    "grid_origin": ("grid origin",
+                    lambda v: GridField(np.zeros((2, 2, 3), dtype=complex), (0.0, v), (1.0, 1.0)),
+                    False),
+    "sampling_grid_lo": ("grid corners",
+                         lambda v: SamplingGrid((0.0, v, 0.0), (1.0, 1.0, 1.0), (1, 1, 1)), False),
+    "sampling_grid_hi": ("grid corners",
+                         lambda v: SamplingGrid((0.0, 0.0, 0.0), (1.0, 1.0, v), (1, 1, 1)), False),
+}
+
+#: Every argument checked as finite and >= a minimum: (argument name, minimum, call with value v).
+AT_LEAST_ARGUMENTS = {
+    "homogeneous_n": ("refractive index", 1.0, lambda v: HomogeneousGreens(v)),
+    "free_space_ldos_n": ("refractive index", 1.0, lambda v: free_space_ldos(0.01, v)),
+    "line_source_d": ("line length", 0.0, lambda v: line_source(_ORIGIN, Y, Y, v, 5)),
+    "element_count_d": ("line length", 0.0, lambda v: default_element_count(v, 0.01)),
+    "element_count_n": ("refractive index", 1.0,
+                        lambda v: default_element_count(100.0, 0.01, n=v)),
+    "radial_factors": ("radial argument", 0.0, radial_factors),
 }
 
 
@@ -153,3 +189,32 @@ def test_positive_arguments_reject_bad_values(site, value):
         call(value)
     # a wavenumber from an array is reported as a plain float, not a numpy repr
     assert str(err.value) == f"{name} must be positive, got {value!r}"
+
+
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+_NON_FINITE_COMPLEX = [complex(0.0, math.inf), complex(math.nan, 1.0)]
+
+
+@pytest.mark.parametrize("site,value", [
+    (site, value) for site in sorted(FINITE_ARGUMENTS)
+    for value in _NON_FINITE + (_NON_FINITE_COMPLEX if FINITE_ARGUMENTS[site][2] else [])
+])
+def test_finite_arguments_reject_non_finite_values(site, value):
+    name, call, _ = FINITE_ARGUMENTS[site]
+    with pytest.raises(InvalidArgumentError) as err:
+        call(value)
+    assert str(err.value).startswith(f"{name} must be finite, got ")
+
+
+@pytest.mark.parametrize("bad", [
+    lambda m: math.nan, lambda m: math.inf, lambda m: -math.inf, lambda m: m - 0.5,
+    lambda m: math.nextafter(m, -math.inf),
+], ids=["nan", "inf", "-inf", "half-below", "ulp-below"])
+@pytest.mark.parametrize("site", sorted(AT_LEAST_ARGUMENTS))
+def test_lower_bounded_arguments_reject_bad_values(site, bad):
+    name, minimum, call = AT_LEAST_ARGUMENTS[site]
+    value = bad(minimum)
+    with pytest.raises(InvalidArgumentError) as err:
+        call(value)
+    assert str(err.value) == f"{name} must be >= {minimum:g}, got {value!r}"
+    call(minimum)

@@ -379,3 +379,50 @@ def test_pair_rate_consistency_property(a, b, phase, k):
     direct = two_dipole_rate(a, b, 1.0, phase, env, k)
     via = pair_rate_via_source(a, b, 1.0, phase, env, k)
     assert direct == pytest.approx(via, rel=1e-11, abs=1e-20)
+
+
+@pytest.mark.parametrize("grid,message", [
+    (np.array([]), "non-empty 1D"),
+    (np.array([[0.004, 0.005]]), "non-empty 1D"),
+    (np.array([0.005, 0.004]), "strictly ascending"),
+    (np.array([0.004, 0.004]), "strictly ascending"),
+])
+def test_sweeps_reject_malformed_grids(grid, message):
+    src = point_source(_pp(0.0))
+    with pytest.raises(InvalidArgumentError, match=f"k grid must be .*{message}"):
+        sweep_spectrum(src, VACUUM, VACUUM, grid)
+    with pytest.raises(InvalidArgumentError, match=f"d grid must be .*{message}"):
+        sweep_length(Position(0, 0, 0), X, Y, 100.0 * grid, 1.0, VACUUM, VACUUM, 0.005)
+
+
+def test_sweep_length_rejects_negative_lengths():
+    with pytest.raises(InvalidArgumentError, match="line lengths must be >= 0"):
+        sweep_length(Position(0, 0, 0), X, Y, np.array([-10.0, 50.0]), 1.0, VACUUM, VACUUM, 0.005)
+
+
+def test_sweep_length_fixed_element_count_equals_constant_rule():
+    env = CompositeGreens(HomogeneousGreens(3.48), ModeSet((surrogate_l3(),)))
+    ds = np.linspace(0.0, 400.0, 9)
+    args = (Position(10.0, 0.0, 0.0), X, Y, ds, 1.0, env, HomogeneousGreens(3.48),
+            wavelength_to_k(1270.0))
+    fixed = sweep_length(*args, elements=7)
+    rule = sweep_length(*args, elements=lambda d: 7)
+    for name in ("gamma_ratio", "numerator", "denominator", "extremity_field"):
+        assert getattr(fixed, name).tobytes() == getattr(rule, name).tobytes()
+
+
+def test_coherence_classification_rejects_source_at_a_mode_node():
+    env = ModeSet((surrogate_l3(),))
+    # the Gaussian envelope underflows to exactly 0 far off the cavity axis
+    node = point_source(_pp(0.0, y=1.0e4))
+    with pytest.raises(DegenerateReferenceError, match="incoherent rate"):
+        coherence_classification(node, env, env.modes[0].k_m)
+
+
+def test_coherence_classification_rejects_nan_diagonal():
+    class NanKernel:
+        def cdos_matrix(self, positions, orientations, k):
+            return np.full((positions.shape[0],) * 2, math.nan)
+
+    with pytest.raises(DegenerateReferenceError, match="incoherent rate"):
+        coherence_classification(point_source(_pp(0.0)), NanKernel(), 0.005)

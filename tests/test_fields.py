@@ -290,3 +290,16 @@ def test_body_longer_than_dims_rejected(tmp_path):
     # trailing blank lines stay allowed
     path.write_text(_grid_header("2 2") + samples + "\n  \n")
     assert load_grid_field(path).shape == (2, 2)
+
+
+@pytest.mark.parametrize("prefix,line", [(b"\xef\xbb\xbf", 1), (b"", 6)], ids=["bom", "mid-file"])
+def test_non_ascii_byte_rejected_at_its_line(tmp_path, prefix, line):
+    path = tmp_path / "utf8.field"
+    samples = ["0 0 0 0 0 0"] * 4
+    if line == 6:
+        samples[1] = "0 0 0 0 0 0 µ"
+    path.write_bytes(prefix + (_grid_header("2 2") + "\n".join(samples) + "\n").encode("utf-8"))
+    with pytest.raises(GridFileError) as err:
+        load_grid_field(path)
+    assert err.value.line == line
+    assert "non-ASCII" in str(err.value)

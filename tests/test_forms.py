@@ -13,13 +13,19 @@ from hypothesis import given, strategies as st
 from purcellx import (
     AnalyticSurrogate,
     AnalyticSurrogateParams,
+    CompositeGreens,
     GridField,
     HomogeneousGreens,
     LossyMode,
     ModeSet,
     Orientation,
+    PolarizedPoint,
+    Position,
     Qnm,
     QnmPair,
+    cdos,
+    cdos_modal,
+    cdos_qnm,
 )
 
 #: Grid-field domain: x in [-300, 300], y in [-200, 200] nm.
@@ -95,3 +101,26 @@ def test_forms_match_dense_double_sum(model, field_kinds, count, coincident, see
     for k, got in zip(k_grid, forms):
         expected, scale = _dense_form(env.cdos_matrix(positions, orientations, k), weights)
         assert abs(got - expected) <= 1e-12 * scale
+
+
+@given(
+    model=st.sampled_from(["homogeneous", "modes", "qnm", "composite"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_two_point_cdos_is_the_cdos_matrix_entry(model, seed):
+    rng = np.random.default_rng(seed)
+    if model == "composite":
+        structured, k_m, gamma = _model(rng, "modes", ("surrogate", "grid"))
+        env = CompositeGreens(HomogeneousGreens(rng.uniform(1.0, 3.5)), structured)
+    else:
+        env, k_m, gamma = _model(rng, model, ("surrogate", "grid"))
+    positions = np.column_stack([rng.uniform(-300.0, 300.0, 2), rng.uniform(-200.0, 200.0, 2),
+                                 rng.uniform(-50.0, 50.0, 2)])
+    orientations = rng.normal(size=(2, 3))
+    orientations /= np.linalg.norm(orientations, axis=1)[:, None]
+    a, b = (PolarizedPoint(Position(*p), Orientation(*u)) for p, u in zip(positions, orientations))
+    k = k_m + gamma * rng.uniform(-5.0, 5.0)
+
+    assert cdos is cdos_modal is cdos_qnm is type(env).cdos
+    expected = env.cdos_matrix(positions, orientations, k)[0, 1]
+    assert env.cdos(a, b, k) == cdos(env, a, b, k) == expected

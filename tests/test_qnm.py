@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -330,3 +331,16 @@ def test_modal_qnm_high_q_consistency():
 def test_fano_term_validation():
     with pytest.raises(Exception):
         FanoTerm("a", 0.0, math.nan)
+
+
+def test_qnm_does_not_warn_at_high_loss_and_never_equals_a_lossy_mode():
+    field = _surrogate(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        qnm = Qnm(field, k_m=0.005, gamma_m=0.001)
+    with pytest.warns(UserWarning, match="low-loss"):
+        lossy = LossyMode(field, k_m=0.005, gamma_m=0.001)
+    assert qnm.quality_factor == lossy.quality_factor == 5.0
+    assert qnm != lossy and lossy != qnm
+    assert len({qnm: "qnm", lossy: "lossy"}) == 2
+    assert qnm == Qnm(field, k_m=0.005, gamma_m=0.001)
