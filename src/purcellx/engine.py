@@ -69,8 +69,7 @@ class GreensModel(Protocol):
     def cdos_matrix(self, positions: np.ndarray, orientations: np.ndarray,
                     k: Wavenumber) -> np.ndarray: ...
 
-    def forms(self, positions: np.ndarray, orientations: np.ndarray, weights: np.ndarray,
-              k_grid) -> np.ndarray: ...
+    def forms(self, src: ExtendedSource, k_grid) -> np.ndarray: ...
 
 
 StructuredModel = Union[ModeSet, QnmPair]
@@ -129,13 +128,8 @@ class LengthSweep:
     k: Wavenumber
 
 
-def _source_arrays(src: ExtendedSource):
-    return src.positions_array(), src.orientations_array(), src.weights_array()
-
-
 def _double_sums(src: ExtendedSource, k_grid: np.ndarray, *models: GreensModel) -> tuple:
     """``w^H rho(k) w`` of each model over ``k_grid``; each distinct part is contracted once."""
-    arrays = _source_arrays(src)
     forms: dict = {}
     sums = []
     for model in models:
@@ -143,7 +137,7 @@ def _double_sums(src: ExtendedSource, k_grid: np.ndarray, *models: GreensModel) 
             else (model,)
         for part in parts:
             if part not in forms:
-                forms[part] = part.forms(*arrays, k_grid)
+                forms[part] = part.forms(src, k_grid)
         sums.append(sum(forms[part] for part in parts))
     return tuple(sums)
 
@@ -278,8 +272,8 @@ def coherence_classification(src: ExtendedSource, env: GreensModel,
     beta > 1 marks superradiance, beta < 1 subradiance, beta = 1 a point
     source or perfectly uncorrelated geometry.
     """
-    positions, orientations, weights = _source_arrays(src)
-    rho = env.cdos_matrix(positions, orientations, k)
+    weights = src.weights_array()
+    rho = env.cdos_matrix(src.positions_array(), src.orientations_array(), k)
     coherent = float(np.einsum("i,ij,j->", weights.conjugate(), rho, weights).real)
     incoherent = float(np.sum((weights.conjugate() * weights).real * np.diag(rho)))
     if not (incoherent >= 1e-300):

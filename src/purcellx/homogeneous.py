@@ -22,6 +22,7 @@ from .core import (
     _require_k,
     _two_point,
 )
+from .sources import ExtendedSource
 
 __all__ = [
     "HomogeneousGreens",
@@ -140,37 +141,87 @@ class HomogeneousGreens:
         out[ju, iu] = vals
         return out
 
-    def forms(self, positions: np.ndarray, orientations: np.ndarray, weights: np.ndarray,
-              k_grid) -> np.ndarray:
-        """The values ``w^H rho(k) w`` of a weighted source over a wavenumber grid.
+    def forms(self, src: ExtendedSource, k_grid) -> np.ndarray:
+        """The values ``w^H rho(k) w`` of a source over a wavenumber grid.
 
-        The pair geometry is built once; a k costs the radial factors and one dot product.
+        The k-free terms are built once: over the lags of a lattice source
+        (:func:`_lag_terms`), or over its pairs (:func:`_pair_terms`) when the
+        source has no lattice or has fewer pairs than lags.  A k then costs the
+        radial factors and one sum.
         """
         k_grid = np.asarray(k_grid, dtype=float)
         _require_k(k_grid)
-        iu, ju, *geometry = _pair_geometry(positions, orientations)
-        # an off-diagonal pair stands for both (i, j) and (j, i) of the Hermitian sum
-        c = np.where(iu == ju, 1.0, 2.0) * (weights[iu].conjugate() * weights[ju]).real
-        # einsum, not BLAS: a threaded ddot waits for its threads to wake at every k
-        return np.array([np.einsum("i,i->", _pair_values(self.n, k, *geometry), c) for k in k_grid])
+        m = len(src)
+        lattice = src._lattice
+        if lattice is not None and np.prod(2 * np.ptp(lattice[1], axis=0) + 1) <= m * (m + 1) // 2:
+            terms = _lag_terms(*lattice, src.orientations_array(), src.weights_array())
+        else:
+            terms = _pair_terms(src.positions_array(), src.orientations_array(),
+                                src.weights_array())
+        return np.array([_pair_values(self.n, k, *terms).sum() for k in k_grid])
+
+
+def _separations(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and unit vectors of (N, 3) separations; a zero separation has a zero unit vector."""
+    r = np.sqrt(np.einsum("ij,ij->i", d, d))
+    return r, np.where(r[:, None] > 0.0, d / np.where(r == 0.0, 1.0, r)[:, None], 0.0)
 
 
 def _pair_geometry(positions: np.ndarray, orientations: np.ndarray):
     """Pairs i <= j of M polarized points: i, j, r, u_i.u_j and (u_i.R^)(u_j.R^)."""
     iu, ju = np.triu_indices(positions.shape[0])
-    d = positions[ju] - positions[iu]
-    r = np.sqrt(np.einsum("ij,ij->i", d, d))
-    unit = np.where(r[:, None] > 0.0, d / np.where(r == 0.0, 1.0, r)[:, None], 0.0)
+    r, unit = _separations(positions[ju] - positions[iu])
     uu = np.einsum("ij,ij->i", orientations[iu], orientations[ju])
     ua_r = np.einsum("ij,ij->i", orientations[iu], unit)
     return iu, ju, r, uu, ua_r * np.einsum("ij,ij->i", orientations[ju], unit)
 
 
-def _pair_values(n: float, k: Wavenumber, r, uu, urur) -> np.ndarray:
-    """Pair CDOS ``(2k/pi) Im[u_i . G u_j]``; only the radial factors depend on k."""
+def _pair_terms(positions: np.ndarray, orientations: np.ndarray, weights: np.ndarray):
+    """``(r, alpha, beta)`` over the pairs i <= j of a weighted source.
+
+    ``alpha`` and ``beta`` are ``u_i.u_j`` and ``(u_i.R^)(u_j.R^)`` times
+    ``(2 - delta_ij) Re(conj(w_i) w_j)``: an off-diagonal pair stands for both
+    (i, j) and (j, i) of the Hermitian sum.
+    """
+    iu, ju, r, uu, urur = _pair_geometry(positions, orientations)
+    c = np.where(iu == ju, 1.0, 2.0) * (weights[iu].conjugate() * weights[ju]).real
+    return r, uu * c, urur * c
+
+
+def _lag_terms(steps: np.ndarray, cells: np.ndarray, orientations: np.ndarray,
+               weights: np.ndarray):
+    """``(r, alpha, beta)`` over the lags L of a lattice source.
+
+    With ``a_i = w_i u_i`` on the lattice, ``C_pq(L) = sum_i conj(a_ip) a_{i+L,q}``
+    is one zero-padded FFT correlation (Goodman, Draine & Flatau, Opt. Lett. 16,
+    1198, 1991).  Then ``r_L = |L.steps|``, ``alpha_L = Re tr C(L)`` and
+    ``beta_L = Re R^_L^T C(L) R^_L``, so that ``sum_L`` of the pair values
+    equals ``sum_ij conj(w_i) w_j rho_ij``.
+    """
+    cells = cells - cells.min(axis=0)
+    n = cells.max(axis=0) + 1
+    padded = tuple(2 * n - 1)  # lags -(n-1)..(n-1) per axis, with no wrap-around
+    a = np.zeros((3, *n), dtype=complex)
+    a[(slice(None), *cells.T)] = (weights[:, None] * orientations).T
+    spectrum = np.fft.fftn(a, s=padded, axes=(1, 2, 3))
+    c = np.fft.ifftn(spectrum.conj()[:, None] * spectrum[None, :], axes=(2, 3, 4)).real
+    c = c.reshape(3, 3, -1)
+    # FFT order of the lags along each axis: 0..n-1, then -(n-1)..-1
+    lags = np.meshgrid(*(np.r_[0:m, 1 - m:0] for m in n), indexing="ij")
+    r, unit = _separations(np.stack([lag.ravel() for lag in lags], axis=1) @ steps)
+    return r, np.einsum("ppl->l", c), np.einsum("lp,pql,lq->l", unit, c, unit)
+
+
+def _pair_values(n: float, k: Wavenumber, r, alpha, beta) -> np.ndarray:
+    """Pair CDOS ``(2k/pi) Im[u_i . G u_j]`` from ``alpha``, ``beta`` at separation ``r``.
+
+    Plain terms are ``alpha = u_i.u_j`` and ``beta = (u_i.R^)(u_j.R^)``;
+    weighted terms (:func:`_pair_terms`, :func:`_lag_terms`) give weighted
+    values.  Only the radial factors depend on k.
+    """
     kappa = n * k
     fa, fb = _factors_array(kappa * r)
-    return (2.0 * k / math.pi) * (kappa / (4.0 * math.pi)) * (fa * uu + fb * urur)
+    return (2.0 * k / math.pi) * (kappa / (4.0 * math.pi)) * (fa * alpha + fb * beta)
 
 
 cdos = _two_point

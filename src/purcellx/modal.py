@@ -43,6 +43,7 @@ from .fields import (
     VectorFieldModel,
     projected_field_many,
 )
+from .sources import ExtendedSource
 
 __all__ = [
     "LossyMode",
@@ -109,6 +110,12 @@ def _pole_sum(modes, positions: np.ndarray, orientations: np.ndarray, k, product
     return total
 
 
+def _pole_forms(modes, src: ExtendedSource, k_grid, product) -> np.ndarray:
+    """The values ``w^H rho(k) w`` of a source over a wavenumber grid, from the pole sum."""
+    return _pole_sum(modes, src.positions_array(), src.orientations_array(),
+                     np.asarray(k_grid, dtype=float), product, src.weights_array())
+
+
 def _lorentzian_product(x, y, pole):
     """Lossy-mode CDOS term: the real Lorentzian ``Im(pole)/pi`` times ``Re(v v^H)``."""
     return (pole.imag / math.pi) * (x * y.conjugate()).real
@@ -158,11 +165,9 @@ class ModeSet:
                     k: Wavenumber) -> np.ndarray:
         return _pole_sum(self.modes, positions, orientations, k, _lorentzian_product)
 
-    def forms(self, positions: np.ndarray, orientations: np.ndarray, weights: np.ndarray,
-              k_grid) -> np.ndarray:
-        """The values ``w^H rho(k) w`` of a weighted source over a wavenumber grid."""
-        return _pole_sum(self.modes, positions, orientations, np.asarray(k_grid, dtype=float),
-                         _lorentzian_form, weights)
+    def forms(self, src: ExtendedSource, k_grid) -> np.ndarray:
+        """The values ``w^H rho(k) w`` of a source over a wavenumber grid."""
+        return _pole_forms(self.modes, src, k_grid, _lorentzian_form)
 
 
 cdos_modal = _two_point

@@ -33,7 +33,8 @@ from .core import (
     _two_point,
 )
 from .fields import projected_field, projected_field_many
-from .modal import _PoleMode, _green_product, _pole_sum, _qnm_product
+from .modal import _PoleMode, _green_product, _pole_forms, _pole_sum, _qnm_product
+from .sources import ExtendedSource
 
 __all__ = [
     "Qnm",
@@ -97,11 +98,9 @@ class QnmPair:
                     k: Wavenumber) -> np.ndarray:
         return _pole_sum(self.structured_modes(), positions, orientations, k, _qnm_product)
 
-    def forms(self, positions: np.ndarray, orientations: np.ndarray, weights: np.ndarray,
-              k_grid) -> np.ndarray:
-        """The values ``w^H rho(k) w`` of a weighted source over a wavenumber grid."""
-        return _pole_sum(self.structured_modes(), positions, orientations,
-                         np.asarray(k_grid, dtype=float), _qnm_product, weights)
+    def forms(self, src: ExtendedSource, k_grid) -> np.ndarray:
+        """The values ``w^H rho(k) w`` of a source over a wavenumber grid."""
+        return _pole_forms(self.structured_modes(), src, k_grid, _qnm_product)
 
 
 def green_qnm_projected(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,

@@ -65,11 +65,14 @@ class ExtendedSource:
     """Non-empty list of mutually coherent dipole elements plus a reference point.
 
     The element arrays are built once, at construction, and are read-only.
+    The source builders of this module also record the lattice their elements
+    sit on (see :func:`_on_lattice`); a source built from an element list has none.
     """
 
     elements: tuple[DipoleElement, ...]
     reference: Position
     _arrays: tuple = field(init=False, repr=False, compare=False)
+    _lattice: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         elements = tuple(self.elements)
@@ -97,15 +100,30 @@ class ExtendedSource:
         return self._arrays[2]
 
 
+def _on_lattice(src: ExtendedSource, steps, cells) -> ExtendedSource:
+    """Record that element i sits ``cells[i] @ steps`` away from the lattice origin.
+
+    ``steps`` holds the three (3,) step vectors as rows and ``cells`` the (M, 3)
+    integer cell index of each element; no two elements share a cell.  The
+    homogeneous kernel of a lattice source depends only on the lag between cells.
+    """
+    lattice = (np.array(steps, dtype=float), np.array(cells, dtype=np.intp).reshape(-1, 3))
+    for array in lattice:
+        array.flags.writeable = False
+    object.__setattr__(src, "_lattice", lattice)
+    return src
+
+
 def point_source(p: PolarizedPoint, amplitude: complex = 1.0 + 0.0j) -> ExtendedSource:
     """A single dipole with the given complex amplitude."""
     amplitude = complex(amplitude)
     if amplitude == 0:
         raise InvalidArgumentError("point source amplitude must be nonzero")
-    return ExtendedSource(
+    src = ExtendedSource(
         elements=(DipoleElement(point=p, weight=amplitude),),
         reference=p.position,
     )
+    return _on_lattice(src, np.zeros((3, 3)), [(0, 0, 0)])
 
 
 def pair_source(a: PolarizedPoint, b: PolarizedPoint, p: float, phase: float) -> ExtendedSource:
@@ -122,13 +140,16 @@ def pair_source(a: PolarizedPoint, b: PolarizedPoint, p: float, phase: float) ->
         0.5 * (a.position.y + b.position.y),
         0.5 * (a.position.z + b.position.z),
     )
-    return ExtendedSource(
+    src = ExtendedSource(
         elements=(
             DipoleElement(point=a, weight=complex(w, 0.0)),
             DipoleElement(point=b, weight=w * cmath.exp(1j * phase)),
         ),
         reference=midpoint,
     )
+    positions = src.positions_array()
+    return _on_lattice(src, np.vstack([positions[1] - positions[0], np.zeros((2, 3))]),
+                       [(0, 0, 0), (1, 0, 0)])
 
 
 def line_source(center: Position, axis: Orientation, polarization: Orientation,
@@ -145,10 +166,7 @@ def line_source(center: Position, axis: Orientation, polarization: Orientation,
     _require_positive("cluster amplitude", p)
     if n == 1 or d == 0.0:
         # a zero-length cluster is a single dipole carrying the full amplitude
-        element = DipoleElement(
-            point=PolarizedPoint(center, polarization), weight=complex(p, 0.0)
-        )
-        return ExtendedSource(elements=(element,), reference=center)
+        return point_source(PolarizedPoint(center, polarization), p)
     w = complex(p / math.sqrt(n), 0.0)
     offsets = [(i / (n - 1) - 0.5) * d for i in range(n)]
     elements = tuple(
@@ -165,7 +183,9 @@ def line_source(center: Position, axis: Orientation, polarization: Orientation,
         )
         for t in offsets
     )
-    return ExtendedSource(elements=elements, reference=center)
+    step = (d / (n - 1)) * axis.as_array()
+    return _on_lattice(ExtendedSource(elements=elements, reference=center),
+                       np.vstack([step, np.zeros((2, 3))]), [(i, 0, 0) for i in range(n)])
 
 
 def default_element_count(d: float, k: Wavenumber, n: float = 1.0) -> int:
@@ -187,7 +207,8 @@ class SamplingGrid:
 
     ``lo``/``hi`` are opposite box corners; ``shape`` the cell count per
     axis.  Axes with a single cell and zero extent contribute unit measure,
-    so line and slab densities can be sampled without a fake thickness.
+    so line and slab densities can be sampled without a fake thickness.  A
+    zero-extent axis takes exactly one cell: more would stack coincident cells.
     """
 
     lo: tuple[float, float, float]
@@ -203,25 +224,30 @@ class SamplingGrid:
         _require_finite("grid corners", *lo, *hi)
         if any(h < l for l, h in zip(lo, hi)):
             raise InvalidArgumentError("grid hi corner must not be below lo corner")
+        for axis, l, h, n in zip("xyz", lo, hi, shape):
+            if h == l and n > 1:
+                raise InvalidArgumentError(
+                    f"grid axis {axis} has zero extent but {n} cells; a flat axis takes one cell"
+                )
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "shape", shape)
 
+    def _steps(self) -> tuple[float, float, float]:
+        """Cell edge length per axis; 0 on a zero-extent axis."""
+        return tuple((h - l) / n for l, h, n in zip(self.lo, self.hi, self.shape))
+
     def cell_measure(self) -> float:
         measure = 1.0
-        for l, h, n in zip(self.lo, self.hi, self.shape):
+        for l, h, step in zip(self.lo, self.hi, self._steps()):
             if h > l:
-                measure *= (h - l) / n
+                measure *= step
         return measure
 
     def centers(self):
-        axes = []
-        for l, h, n in zip(self.lo, self.hi, self.shape):
-            if h > l:
-                step = (h - l) / n
-                axes.append([l + (i + 0.5) * step for i in range(n)])
-            else:
-                axes.append([l] * n)
+        """Cell centers, x outermost and z innermost (``np.ndindex(shape)`` order)."""
+        axes = [[l + (i + 0.5) * step for i in range(n)]
+                for l, n, step in zip(self.lo, self.shape, self._steps())]
         for cx in axes[0]:
             for cy in axes[1]:
                 for cz in axes[2]:
@@ -240,11 +266,13 @@ def sampled_source(density: Callable[[Position], complex],
     """
     dv = grid.cell_measure()
     elements = []
-    for pos in grid.centers():
+    cells = []
+    for pos, cell in zip(grid.centers(), np.ndindex(grid.shape)):
         w = complex(density(pos)) * dv
         if w == 0:
             continue
         elements.append(DipoleElement(point=PolarizedPoint(pos, polarization(pos)), weight=w))
+        cells.append(cell)
     if not elements:
         raise InvalidArgumentError("density vanishes on the whole sampling grid")
     if reference is None:
@@ -253,4 +281,5 @@ def sampled_source(density: Callable[[Position], complex],
             0.5 * (grid.lo[1] + grid.hi[1]),
             0.5 * (grid.lo[2] + grid.hi[2]),
         )
-    return ExtendedSource(elements=tuple(elements), reference=reference)
+    return _on_lattice(ExtendedSource(elements=tuple(elements), reference=reference),
+                       np.diag(grid._steps()), cells)

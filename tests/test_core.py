@@ -24,6 +24,7 @@ from purcellx import (
     free_space_ldos,
     line_source,
     pair_source,
+    point_source,
     two_dipole_rate,
     wavelength_to_k,
 )
@@ -40,8 +41,7 @@ POSITIVE_ARGUMENTS = {
     "wavelength_to_k": ("wavelength", lambda v: wavelength_to_k(v)),
     "free_space_ldos": ("wavenumber", lambda v: free_space_ldos(v)),
     "k_grid": ("wavenumber", lambda v: HomogeneousGreens(1.0).forms(
-        np.zeros((1, 3)), np.array([[0.0, 1.0, 0.0]]), np.ones(1, dtype=complex),
-        np.array([0.01, v]))),
+        point_source(_A), np.array([0.01, v]))),
     "surrogate_x0": ("sign_change_half_width",
                      lambda v: AnalyticSurrogateParams(v, 400.0, 120.0, Y)),
     "surrogate_sigma_x": ("sigma_x", lambda v: AnalyticSurrogateParams(160.0, v, 120.0, Y)),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from purcellx import (
+    ExtendedSource,
     HomogeneousGreens,
     InvalidArgumentError,
     Orientation,
@@ -115,6 +116,33 @@ def test_sampling_grid_rejects_non_integral_shape():
         SamplingGrid(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 0.0), shape=(2.7, 2, 1))
     with pytest.raises(InvalidArgumentError, match="grid shape"):
         SamplingGrid(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 0.0), shape=(2, 0, 1))
+
+
+def test_sampling_grid_rejects_stacked_cells_on_a_flat_axis():
+    # two stacks of three coincident cells would triple each stack's amplitude
+    with pytest.raises(InvalidArgumentError, match="grid axis y has zero extent"):
+        SamplingGrid(lo=(0.0, 0.0, 0.0), hi=(10.0, 0.0, 0.0), shape=(2, 3, 1))
+    assert len(list(SamplingGrid((0.0, 0.0, 0.0), (10.0, 0.0, 0.0), (2, 1, 1)).centers())) == 2
+
+
+def test_builders_record_a_lattice_that_equality_ignores():
+    grid = SamplingGrid(lo=(0.0, 0.0, 0.0), hi=(30.0, 20.0, 0.0), shape=(3, 2, 1))
+    sampled = sampled_source(lambda r: 0.0 if r.x < 10.0 and r.y < 10.0 else 1.0,
+                             lambda r: Y, grid)
+    # the cell (0, 0) is dropped
+    assert sampled._lattice[1].tolist() == [[0, 1, 0], [1, 0, 0], [1, 1, 0], [2, 0, 0], [2, 1, 0]]
+    built = (point_source(PolarizedPoint(Position(0.0, 0.0, 0.0), Y)),
+             pair_source(PolarizedPoint(Position(0.0, 0.0, 0.0), Y),
+                         PolarizedPoint(Position(30.0, 40.0, 0.0), X), 1.0, 0.5),
+             line_source(Position(0.0, 0.0, 0.0), X, Y, d=100.0, n_elements=5), sampled)
+    for src in built:
+        steps, cells = src._lattice
+        # every element sits at its cell times the steps from one lattice origin
+        origins = src.positions_array() - cells @ steps
+        np.testing.assert_allclose(origins, origins[[0] * len(src)], atol=1e-12)
+        by_hand = ExtendedSource(src.elements, src.reference)
+        assert by_hand._lattice is None
+        assert by_hand == src and hash(by_hand) == hash(src)
 
 
 def test_default_element_count_spacing_rule():
