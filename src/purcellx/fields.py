@@ -21,6 +21,10 @@ Grid-field file format (text, self-describing header)::
 with each ``dims`` entry at least 2, x-fastest sample ordering and floats
 carried at full double precision.  The body holds exactly one sample line
 per node, ``nx*ny[*nz]`` lines; only blank lines may follow the last one.
+The body is parsed in one numeric pass.  A faulty file still names its
+first bad line: when that pass refuses the body, a line-by-line scan finds
+the line and raises.  The scan also accepts what only Python's ``float``
+reads, such as underscore digit groups (``1_0``).
 """
 
 from __future__ import annotations
@@ -255,8 +259,36 @@ def load_grid_field(path) -> GridField:
         if line.strip():
             raise GridFileError(path, 5 + count + row, f"expected {count} sample lines, found more")
 
-    samples = np.empty((count, 3), dtype=complex)
-    for row, line in enumerate(body[:count]):
+    sample_lines = body[:count]
+    reals = None
+    # np.loadtxt skips blank lines, so a blank first sample line would leave
+    # too few rows anyway; sending it straight to the scan also keeps
+    # np.loadtxt from warning about an all-blank body.
+    if sample_lines[0].strip():
+        try:
+            reals = np.loadtxt(sample_lines, dtype=float, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if reals is not None and reals.shape == (count, 6) and np.isfinite(reals).all():
+        samples = reals.view(complex)
+    else:
+        samples = _scan_samples(path, sample_lines)
+
+    # samples are x-fastest: reshape with reversed dims then move axes back
+    data = samples.reshape(tuple(reversed(dims)) + (3,))
+    data = np.moveaxis(data, range(len(dims)), range(len(dims) - 1, -1, -1))
+    return GridField(data, origin, spacing)
+
+
+def _scan_samples(path, lines) -> np.ndarray:
+    """Parse sample lines one by one: the first bad line raises with its number.
+
+    The fallback of :func:`load_grid_field` when its bulk parse refuses the
+    body.  Python's ``float`` also accepts underscore digit groups (``1_0``),
+    which ``np.loadtxt`` does not, so such files load here.
+    """
+    samples = np.empty((len(lines), 3), dtype=complex)
+    for row, line in enumerate(lines):
         line_no = 5 + row
         toks = line.split()
         if len(toks) != 6:
@@ -269,8 +301,4 @@ def load_grid_field(path) -> GridField:
             raise GridFileError(path, line_no, "non-finite sample")
         samples[row] = [complex(vals[0], vals[1]), complex(vals[2], vals[3]),
                         complex(vals[4], vals[5])]
-
-    # samples are x-fastest: reshape with reversed dims then move axes back
-    data = samples.reshape(tuple(reversed(dims)) + (3,))
-    data = np.moveaxis(data, range(len(dims)), range(len(dims) - 1, -1, -1))
-    return GridField(data, origin, spacing)
+    return samples

@@ -409,6 +409,23 @@ def test_unusable_grid_path_is_config_error(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith(f"config error: {_MODE_PATH}.path: ")
 
 
+def test_bad_grid_sample_line_is_config_error_naming_the_line(tmp_path, capsys):
+    from purcellx import GridField, save_grid_field
+
+    rng = np.random.default_rng(0)
+    grid = GridField(rng.normal(size=(3, 3, 3)).astype(complex),
+                     origin=(-20.0, -20.0), spacing=(20.0, 20.0))
+    save_grid_field(grid, tmp_path / "bad.field")
+    lines = (tmp_path / "bad.field").read_text().splitlines()
+    lines[6] = "0 0 0 0 0 x"  # file line 7, the third sample
+    (tmp_path / "bad.field").write_text("\n".join(lines) + "\n")
+    cfg = _write(tmp_path, _grid_mode_config("bad.field"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {_MODE_PATH}.path: ")
+    assert "bad.field:7: bad float" in err
+
+
 def test_unwritable_output_is_runtime_error(tmp_path, capsys):
     cfg = _write(tmp_path, POINT_SPECTRUM)
     taken = tmp_path / "taken"

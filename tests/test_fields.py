@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from purcellx import (
     AnalyticSurrogate,
@@ -184,13 +185,22 @@ def test_grid_validation():
         GridField(bad, (0, 0), (1, 1))
 
 
+def _bits(data):
+    """Bit patterns of complex data: unlike ``==``, tells -0.0 from 0.0."""
+    return np.ascontiguousarray(data).view(np.int64)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
+
+
 def test_roundtrip_2d(tmp_path):
     rng = np.random.default_rng(4)
     grid = _random_grid(rng)
     path = tmp_path / "mode.field"
     save_grid_field(grid, path)
     back = load_grid_field(path)
-    assert np.array_equal(back.data, grid.data)
+    assert _same_bits(back.data, grid.data)
     assert back.origin == grid.origin
     assert back.spacing == grid.spacing
 
@@ -202,7 +212,7 @@ def test_roundtrip_3d(tmp_path):
     path = tmp_path / "mode3.field"
     save_grid_field(grid, path)
     back = load_grid_field(path)
-    assert np.array_equal(back.data, grid.data)
+    assert _same_bits(back.data, grid.data)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -212,7 +222,19 @@ def test_roundtrip_random_grids(tmp_path_factory, seed):
     grid = GridField(data.astype(complex), origin=(-1.0, 0.5), spacing=(0.25, 2.0))
     path = tmp_path_factory.mktemp("grids") / "g.field"
     save_grid_field(grid, path)
-    assert np.array_equal(load_grid_field(path).data, grid.data)
+    assert _same_bits(load_grid_field(path).data, grid.data)
+
+
+def test_roundtrip_extreme_values(tmp_path):
+    reals = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             0.12345678901234568, -9.8765432109876540e-5, -1.7976931348623157e308,
+             -5e-324, 0.0, 1.0000000000000002, 3.3333333333333335e100, -2.2250738585072009e-308]
+    data = np.array(reals * 2).view(complex).reshape(2, 2, 3)
+    grid = GridField(data, origin=(0.0, 0.0), spacing=(1.0, 1.0))
+    path = tmp_path / "extreme.field"
+    save_grid_field(grid, path)
+    back = load_grid_field(path)
+    assert _same_bits(back.data, grid.data)
 
 
 def test_nan_sample_rejected_with_location(tmp_path):
@@ -303,3 +325,115 @@ def test_non_ascii_byte_rejected_at_its_line(tmp_path, prefix, line):
         load_grid_field(path)
     assert err.value.line == line
     assert "non-ASCII" in str(err.value)
+
+
+def _reference_samples(path, lines):
+    """The per-line sample loop that parsed grid bodies before the bulk parse."""
+    samples = np.empty((len(lines), 3), dtype=complex)
+    for row, line in enumerate(lines):
+        line_no = 5 + row
+        toks = line.split()
+        if len(toks) != 6:
+            raise GridFileError(path, line_no, f"expected 6 reals per sample, got {len(toks)}")
+        try:
+            vals = [float(t) for t in toks]
+        except ValueError as exc:
+            raise GridFileError(path, line_no, f"bad float: {exc}") from exc
+        if any(not math.isfinite(v) for v in vals):
+            raise GridFileError(path, line_no, "non-finite sample")
+        samples[row] = [complex(vals[0], vals[1]), complex(vals[2], vals[3]),
+                        complex(vals[4], vals[5])]
+    return samples
+
+
+def _reference_load(path, dims, lines):
+    """Reference outcome of a body: the grid data, or the error's line and message."""
+    try:
+        samples = _reference_samples(path, lines)
+    except GridFileError as exc:
+        return exc.line, str(exc)
+    data = samples.reshape(tuple(reversed(dims)) + (3,))
+    return np.moveaxis(data, range(len(dims)), range(len(dims) - 1, -1, -1))
+
+
+_GOOD_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+    st.sampled_from(["-0.0", "5e-324"]),
+)
+_ODD_TOKENS = st.sampled_from(["nan", "inf", "1e400", "1_0", "1e", "#"])
+
+
+def _joined(tokens):
+    return st.tuples(tokens, st.sampled_from([" ", "\t"])).map(lambda t: t[1].join(t[0]))
+
+
+def _good_line(arity):
+    return _joined(st.lists(_GOOD_TOKENS, min_size=arity, max_size=arity))
+
+
+@st.composite
+def _one_odd_token(draw):
+    tokens = draw(st.lists(_GOOD_TOKENS, min_size=6, max_size=6))
+    tokens[draw(st.integers(0, 5))] = draw(_ODD_TOKENS)
+    return tokens
+
+
+_ANY_LINES = st.one_of(
+    _joined(_one_odd_token()),
+    _joined(st.lists(_GOOD_TOKENS | _ODD_TOKENS, max_size=8)),
+    st.just(""),
+)
+
+
+@st.composite
+def _grid_bodies(draw):
+    """Good lines of one arity (mostly 6), with a few lines overwritten by any line."""
+    dims = draw(st.sampled_from([(2, 2), (3, 2), (2, 2, 2)]))
+    count = math.prod(dims)
+    arity = draw(st.just(6) | st.integers(0, 8))
+    lines = draw(st.lists(_good_line(arity), min_size=count, max_size=count))
+    for row, line in draw(st.dictionaries(st.integers(0, count - 1), _ANY_LINES,
+                                          max_size=3)).items():
+        lines[row] = line
+    return dims, lines
+
+
+_ZEROS = "0 0 0 0 0 0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_grid_bodies())
+# np.loadtxt parses these three, yet each must still fail at its line
+@example(case=((2, 2), [_ZEROS, "0 0 nan 0 0 0", _ZEROS, _ZEROS]))
+@example(case=((2, 2), [_ZEROS, "", _ZEROS, _ZEROS]))
+@example(case=((2, 2), ["1 2 3 4 5"] * 4))
+# only Python's float reads underscore digit groups; the file still loads
+@example(case=((2, 2), ["1_0 0 0 0 0 0", _ZEROS, _ZEROS, "0 0 0 0 0 2_5.0"]))
+# several bad lines: the first one wins
+@example(case=((2, 2), [_ZEROS, "0 0 nan 0 0 0", "1 2 3 4 5", "#"]))
+@example(case=((2, 2), [_ZEROS, "1 2 3 4 5", "0 0 nan 0 0 0", "1e 0 0 0 0 0"]))
+def test_loader_matches_per_line_reference(tmp_path_factory, case):
+    dims, lines = case
+    path = tmp_path_factory.mktemp("bodies") / "g.field"
+    path.write_text(_grid_header(" ".join(map(str, dims))) + "\n".join(lines) + "\n")
+    expected = _reference_load(path, dims, lines)
+    try:
+        got = load_grid_field(path).data
+    except GridFileError as exc:
+        got = (exc.line, str(exc))
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert not isinstance(got, tuple), got
+        assert _same_bits(got, expected)
+
+
+def test_all_blank_body_raises_without_a_warning(tmp_path):
+    path = tmp_path / "blank.field"
+    path.write_text(_grid_header("2 2") + "\n" * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridFileError) as err:
+            load_grid_field(path)
+    assert err.value.line == 5
+    assert "got 0" in str(err.value)
