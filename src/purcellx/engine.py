@@ -151,18 +151,24 @@ def _ascending_grid(name: str, values) -> np.ndarray:
     return grid
 
 
-def _require_reference(denominator: float) -> None:
-    if not (denominator >= 1e-300):
+def _require_reference(denominator) -> None:
+    """Raise unless the reference double sum (a float or an array of them) can normalize."""
+    if not np.all(denominator >= 1e-300):
         raise DegenerateReferenceError(f"reference double sum is {denominator!r}; cannot normalize")
 
 
 def _require_at_each_point(check, values, grid) -> None:
-    """``check`` on each value; the first failure raises SweepPointError with its index."""
-    for i, value in enumerate(values):
-        try:
-            check(float(value))
-        except PurcellxError as exc:
-            raise SweepPointError(i, float(grid[i]), exc) from exc
+    """``check`` on the whole array; if it fails, the first failing value raises
+    SweepPointError with its index."""
+    try:
+        check(values)
+    except PurcellxError:
+        for i, value in enumerate(values):
+            try:
+                check(float(value))
+            except PurcellxError as exc:
+                raise SweepPointError(i, float(grid[i]), exc) from exc
+        raise
 
 
 def decay_rate(src: ExtendedSource, env: GreensModel, ref_env: GreensModel,

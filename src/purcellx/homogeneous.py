@@ -188,28 +188,59 @@ def _pair_terms(positions: np.ndarray, orientations: np.ndarray, weights: np.nda
     return r, uu * c, urur * c
 
 
+def _fast_length(m: int) -> int:
+    """The smallest length >= ``m`` whose only prime factors are 2, 3 and 5."""
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 def _lag_terms(steps: np.ndarray, cells: np.ndarray, orientations: np.ndarray,
                weights: np.ndarray):
     """``(r, alpha, beta)`` over the lags L of a lattice source.
 
     With ``a_i = w_i u_i`` on the lattice, ``C_pq(L) = sum_i conj(a_ip) a_{i+L,q}``
-    is one zero-padded FFT correlation (Goodman, Draine & Flatau, Opt. Lett. 16,
+    is a zero-padded FFT correlation (Goodman, Draine & Flatau, Opt. Lett. 16,
     1198, 1991).  Then ``r_L = |L.steps|``, ``alpha_L = Re tr C(L)`` and
     ``beta_L = Re R^_L^T C(L) R^_L``, so that ``sum_L`` of the pair values
     equals ``sum_ij conj(w_i) w_j rho_ij``.
+
+    An axis of ``n > 1`` cells is padded to :func:`_fast_length` ``(2n - 1)``,
+    which holds the lags ``-(n-1)..(n-1)`` with no wrap-around; an axis of one
+    cell is not transformed.  Only the live components ``p``, those with
+    ``a_ip != 0`` for some i, are transformed, and only the symmetric correlations
+    ``Re(C_pq + C_qp)/2 = Re ifft(Re(conj(S_p) S_q))``, p <= q, are taken: at
+    most 3 forward and 6 inverse transforms.
     """
     cells = cells - cells.min(axis=0)
-    n = cells.max(axis=0) + 1
-    padded = tuple(2 * n - 1)  # lags -(n-1)..(n-1) per axis, with no wrap-around
-    a = np.zeros((3, *n), dtype=complex)
-    a[(slice(None), *cells.T)] = (weights[:, None] * orientations).T
-    spectrum = np.fft.fftn(a, s=padded, axes=(1, 2, 3))
-    c = np.fft.ifftn(spectrum.conj()[:, None] * spectrum[None, :], axes=(2, 3, 4)).real
-    c = c.reshape(3, 3, -1)
+    n = (cells.max(axis=0) + 1).tolist()
+    axes = tuple(axis for axis in range(3) if n[axis] > 1)
+    a = weights[:, None] * orientations
+    live = np.flatnonzero(np.any(a != 0.0, axis=0))
+    grid = np.zeros((live.size, *n), dtype=complex)
+    grid[(slice(None), *cells.T)] = a[:, live].T
+    spectrum = np.fft.fftn(grid, s=[_fast_length(2 * n[axis] - 1) for axis in axes],
+                           axes=[1 + axis for axis in axes])
     # FFT order of the lags along each axis: 0..n-1, then -(n-1)..-1
-    lags = np.meshgrid(*(np.r_[0:m, 1 - m:0] for m in n), indexing="ij")
-    r, unit = _separations(np.stack([lag.ravel() for lag in lags], axis=1) @ steps)
-    return r, np.einsum("ppl->l", c), np.einsum("lp,pql,lq->l", unit, c, unit)
+    lags = [np.r_[0:m, 1 - m:0] for m in n]
+    r, unit = _separations(np.stack(np.meshgrid(*lags, indexing="ij"), axis=-1).reshape(-1, 3)
+                           @ steps)
+    alpha = np.zeros(r.size)
+    beta = np.zeros(r.size)
+    for i, p in enumerate(live):
+        conj = spectrum[i].conj()
+        for j, q in enumerate(live[i:], start=i):
+            c = np.fft.ifftn((conj * spectrum[j]).real, axes=axes)
+            c = c.real[np.ix_(*lags)].ravel()
+            if i == j:
+                alpha += c
+            beta += (1.0 if i == j else 2.0) * unit[:, p] * unit[:, q] * c
+    return r, alpha, beta
 
 
 def _pair_values(n: float, k: Wavenumber, r, alpha, beta) -> np.ndarray:

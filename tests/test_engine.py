@@ -339,6 +339,18 @@ def test_sweep_reports_first_negative_reference_point():
     assert isinstance(err.value.__cause__, DegenerateReferenceError)
 
 
+@pytest.mark.parametrize("grid,first", [
+    ([-0.001, 0.0, 0.004, math.inf], 0),
+    ([0.004, 0.005, math.inf], 2),
+])
+def test_sweep_reports_first_bad_wavenumber(grid, first):
+    with pytest.raises(SweepPointError) as err:
+        sweep_spectrum(point_source(_pp(0.0)), VACUUM, VACUUM, grid)
+    assert err.value.index == first
+    assert isinstance(err.value.__cause__, InvalidArgumentError)
+    assert str(err.value.__cause__) == f"wavenumber must be positive, got {grid[first]!r}"
+
+
 def test_sweep_errors_carry_point_index():
     rng = np.random.default_rng(11)
     from purcellx import GridField, LossyMode

@@ -11,10 +11,12 @@ builders sit on a lattice and take the lag path, which is checked both
 through ``forms`` and directly.
 """
 
+import bisect
 import cmath
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from purcellx import (
@@ -41,7 +43,7 @@ from purcellx import (
     point_source,
     sampled_source,
 )
-from purcellx.homogeneous import _lag_terms, _pair_values
+from purcellx.homogeneous import _fast_length, _lag_terms, _pair_values
 
 #: Grid-field domain: x in [-300, 300], y in [-200, 200] nm.
 GRID_ORIGIN = (-300.0, -200.0)
@@ -77,8 +79,14 @@ def _model(rng, model, field_kinds):
     return QnmPair(*qnms), k_m, gammas[0]
 
 
-def _unit_vectors(rng, count):
+def _unit_vectors(rng, count, aligned=False):
+    """Random unit vectors; ``aligned`` zeroes each component never, in about half
+    of the vectors or in all of them."""
     u = rng.normal(size=(count, 3))
+    if aligned:
+        zero = rng.random((count, 3)) < rng.choice([0.0, 0.5, 1.0], size=3)
+        zero[zero.all(axis=1), rng.integers(3)] = False
+        u[zero] = 0.0
     return u / np.linalg.norm(u, axis=1)[:, None]
 
 
@@ -136,13 +144,15 @@ def _grid_shape(rng, layout, size):
         return (size, 1, 1)
     if layout == "3d":
         return (min(size, 4), int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+    if layout == "Nx1xM":
+        return (size, 1, int(rng.integers(2, 7)))
     shape = [1, 1, 1]
     first, second = rng.choice(3, size=2, replace=False)
     shape[first], shape[second] = size, int(rng.integers(2, 7))
     return tuple(shape)
 
 
-def _sampled(rng, layout, size, drop):
+def _sampled(rng, layout, size, drop, aligned=False):
     """A sampled source with random complex weights and orientations and dropped cells."""
     shape = _grid_shape(rng, layout, size)
     lo = rng.uniform(-100.0, 100.0, 3)
@@ -153,47 +163,36 @@ def _sampled(rng, layout, size, drop):
     weights = rng.normal(size=len(centers)) + 1j * rng.normal(size=len(centers))
     weights[rng.random(len(centers)) < drop] = 0.0
     weights[rng.integers(len(centers))] = 1.0 + 0.5j  # one cell always stays
-    cells = dict(zip(centers, zip(weights, _unit_vectors(rng, len(centers)))))
+    cells = dict(zip(centers, zip(weights, _unit_vectors(rng, len(centers), aligned))))
     return sampled_source(lambda p: cells[(p.x, p.y, p.z)][0],
                           lambda p: Orientation(*cells[(p.x, p.y, p.z)][1]), grid)
 
 
-def _orientation(rng):
-    return Orientation(*_unit_vectors(rng, 1)[0])
+def _orientation(rng, aligned=False):
+    return Orientation(*_unit_vectors(rng, 1, aligned)[0])
 
 
-def _random_point(rng):
-    return PolarizedPoint(Position(*rng.uniform(-300.0, 300.0, 3)), _orientation(rng))
+def _random_point(rng, aligned=False):
+    return PolarizedPoint(Position(*rng.uniform(-300.0, 300.0, 3)), _orientation(rng, aligned))
 
 
-def _lattice_source(rng, layout, size, drop):
+def _lattice_source(rng, layout, size, drop, aligned=False):
     if layout == "line":
         # along a random, generally non-axis, direction
         return line_source(Position(*rng.uniform(-50.0, 50.0, 3)), _orientation(rng),
-                           _orientation(rng), rng.uniform(0.0, 400.0), size,
+                           _orientation(rng, aligned), rng.uniform(0.0, 400.0), size,
                            rng.uniform(0.5, 2.0))
     if layout == "pair":
-        a = _random_point(rng)
-        b = _random_point(rng) if rng.random() < 0.8 else PolarizedPoint(
-            a.position, _orientation(rng))  # coincident pair
+        a = _random_point(rng, aligned)
+        b = _random_point(rng, aligned) if rng.random() < 0.8 else PolarizedPoint(
+            a.position, _orientation(rng, aligned))  # coincident pair
         return pair_source(a, b, rng.uniform(0.5, 2.0), rng.uniform(-np.pi, np.pi))
     if layout == "point":
-        return point_source(_random_point(rng), complex(*rng.normal(size=2)))
-    return _sampled(rng, layout, size, drop)
+        return point_source(_random_point(rng, aligned), complex(*rng.normal(size=2)))
+    return _sampled(rng, layout, size, drop, aligned)
 
 
-@given(
-    layout=st.sampled_from(["1xNx1", "Nx1x1", "2d", "3d", "line", "pair", "point"]),
-    size=st.integers(min_value=1, max_value=9),
-    drop=st.floats(min_value=0.0, max_value=0.6),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_lattice_forms_match_dense_double_sum(layout, size, drop, seed):
-    rng = np.random.default_rng(seed)
-    src = _lattice_source(rng, layout, size, drop)
-    env = HomogeneousGreens(rng.uniform(1.0, 3.5))
-    # n*k*r from below the series switch up to a few tens
-    k_grid = np.sort(rng.uniform(0.001, 0.03, 3))
+def _assert_lattice_forms_match_dense_double_sum(src, env, k_grid):
     positions, orientations, weights = (src.positions_array(), src.orientations_array(),
                                         src.weights_array())
     assert src._lattice is not None
@@ -204,6 +203,77 @@ def test_lattice_forms_match_dense_double_sum(layout, size, drop, seed):
         expected, scale = _dense_form(env.cdos_matrix(positions, orientations, k), weights)
         assert abs(got - expected) <= 1e-12 * scale
         assert abs(_pair_values(env.n, k, *lags).sum() - expected) <= 1e-12 * scale
+
+
+@given(
+    layout=st.sampled_from(["1xNx1", "Nx1x1", "Nx1xM", "2d", "3d", "line", "pair", "point"]),
+    size=st.integers(min_value=1, max_value=9),
+    drop=st.floats(min_value=0.0, max_value=0.6),
+    aligned=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_lattice_forms_match_dense_double_sum(layout, size, drop, aligned, seed):
+    rng = np.random.default_rng(seed)
+    src = _lattice_source(rng, layout, size, drop, aligned)
+    env = HomogeneousGreens(rng.uniform(1.0, 3.5))
+    # n*k*r from below the series switch up to a few tens
+    _assert_lattice_forms_match_dense_double_sum(src, env, np.sort(rng.uniform(0.001, 0.03, 3)))
+
+
+@pytest.mark.parametrize("count", [40, 100])  # 2n - 1 = 79 and 199 are primes
+@pytest.mark.parametrize("aligned", [False, True])
+def test_lattice_forms_at_prime_lag_extents(count, aligned):
+    rng = np.random.default_rng(count + aligned)
+    env = HomogeneousGreens(rng.uniform(1.0, 3.5))
+    k_grid = np.sort(rng.uniform(0.001, 0.03, 3))
+    line = line_source(Position(*rng.uniform(-50.0, 50.0, 3)), _orientation(rng),
+                       _orientation(rng, aligned), rng.uniform(100.0, 1000.0), count)
+    _assert_lattice_forms_match_dense_double_sum(line, env, k_grid)
+    cells = _sampled(rng, "1xNx1", count, 0.0, aligned)  # no dropped cell: n stays count
+    _assert_lattice_forms_match_dense_double_sum(cells, env, k_grid)
+
+
+def test_fast_length_is_the_next_2_3_5_smooth_length():
+    smooth = sorted(2**a * 3**b * 5**c for a in range(13) for b in range(8) for c in range(6))
+    for m in range(1, 2001):
+        assert _fast_length(m) == smooth[bisect.bisect_left(smooth, m)], m
+
+
+def _count_transforms(monkeypatch):
+    """Record the lengths of each transform ``np.fft.fftn`` and ``np.fft.ifftn`` make."""
+    calls = {"fftn": [], "ifftn": []}
+    for name in calls:
+        def counting(a, s=None, axes=None, *args, _name=name, _fft=getattr(np.fft, name),
+                     **kwargs):
+            out = _fft(a, s, axes, *args, **kwargs)
+            lengths = tuple(out.shape[axis] for axis in axes)
+            calls[_name] += [lengths] * (out.size // int(np.prod(lengths)))
+            return out
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("polarization, forward, inverse", [
+    ((0.0, 1.0, 0.0), 1, 1),
+    ((0.6, 0.0, 0.8), 2, 3),
+    ((0.36, 0.48, 0.8), 3, 6),
+])
+def test_lag_terms_transform_only_live_components(monkeypatch, polarization, forward, inverse):
+    # 40 cells along x pad 79 lags to 80
+    line = line_source(Position(0.0, 0.0, 0.0), Orientation(1.0, 0.0, 0.0),
+                       Orientation(*polarization), 300.0, 40)
+    calls = _count_transforms(monkeypatch)
+    _lag_terms(*line._lattice, line.orientations_array(), line.weights_array())
+    assert calls == {"fftn": [(80,)] * forward, "ifftn": [(80,)] * inverse}
+
+
+def test_lag_terms_skip_one_cell_axes(monkeypatch):
+    # cells (6, 1, 5): lags 11 -> 12 along x and 9 along z; y is not transformed
+    grid = SamplingGrid((0.0, 0.0, 0.0), (60.0, 10.0, 50.0), (6, 1, 5))
+    slab = sampled_source(lambda r: 1.0, lambda r: Orientation(0.0, 0.0, 1.0), grid)
+    calls = _count_transforms(monkeypatch)
+    _lag_terms(*slab._lattice, slab.orientations_array(), slab.weights_array())
+    assert calls == {"fftn": [(12, 9)], "ifftn": [(12, 9)]}
 
 
 def test_homogeneous_forms_memory_on_a_40x40_slab():
@@ -218,6 +288,20 @@ def test_homogeneous_forms_memory_on_a_40x40_slab():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_homogeneous_forms_memory_on_a_100x100_slab():
+    # 10,000 elements: the lag path pads 199 x 199 lags to 200 x 200
+    grid = SamplingGrid((-500.0, -500.0, 0.0), (500.0, 500.0, 0.0), (100, 100, 1))
+    src = sampled_source(lambda r: (1.0 + 0.3j) * cmath.exp(0.01j * (r.x + 2.0 * r.y)),
+                         lambda r: Orientation.from_vector(1.0, r.x / 1000.0, 0.3), grid)
+    tracemalloc.start()
+    try:
+        HomogeneousGreens(1.0).forms(src, np.linspace(0.004, 0.006, 4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 @given(
