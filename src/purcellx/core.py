@@ -100,9 +100,9 @@ def _require_k(k) -> None:
 
 
 def _require_count(name: str, value) -> int:
-    """``value`` as an int >= 1; fractional, non-finite and non-numeric values raise."""
+    """``value`` as an int >= 1; booleans, fractional, non-finite and non-numeric values raise."""
     try:
-        count = int(value)
+        count = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         count = None
     if count is None or count != value or count < 1:

@@ -1,12 +1,12 @@
-"""Coherent source construction: weighted lists of elementary dipoles.
+"""Coherent source construction: elementary dipoles held as arrays.
 
-A spatially coherent extended emitter is discretized as a list of elementary
-dipoles (position, orientation, complex weight).  Cluster weights follow the
-1/sqrt(N) convention, i.e. the sum of squared weight magnitudes equals the
-squared cluster amplitude; this makes the idealized superradiant doubling of
-a constructive pair come out exactly.  An alternative unit-total-amplitude
-convention is intentionally not offered, to avoid silent normalization
-mismatches.
+A spatially coherent extended emitter is discretized into elementary dipoles
+(position, orientation, complex weight), held as read-only arrays.  Cluster
+weights follow the 1/sqrt(N) convention, i.e. the sum of squared weight
+magnitudes equals the squared cluster amplitude; this makes the idealized
+superradiant doubling of a constructive pair come out exactly.  An
+alternative unit-total-amplitude convention is intentionally not offered, to
+avoid silent normalization mismatches.
 
 The reference point is metadata only (it labels outputs); it never enters
 rate values.
@@ -60,35 +60,54 @@ class DipoleElement:
         object.__setattr__(self, "weight", w)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class ExtendedSource:
-    """Non-empty list of mutually coherent dipole elements plus a reference point.
+    """Non-empty set of mutually coherent dipoles plus a reference point.
 
-    The element arrays are built once, at construction, and are read-only.
-    The source builders of this module also record the lattice their elements
-    sit on (see :func:`_on_lattice`); a source built from an element list has none.
+    Its state is three read-only arrays, the (M, 3) positions and orientations
+    and the (M,) complex weights, and, for a source made by a builder of this
+    module, the lattice its elements sit on: ``(steps, cells)``, element i
+    sitting ``cells[i] @ steps`` away from the lattice origin, with the three
+    step vectors as the rows of ``steps`` and no two elements in one cell.  The
+    homogeneous kernel of a lattice source depends only on the lag between
+    cells.  ``ExtendedSource(elements, reference)`` builds a source, without a
+    lattice, from :class:`DipoleElement` records; :attr:`elements` is a view of
+    the arrays, built on first use.  Equality and hashing ignore the lattice.
     """
 
-    elements: tuple[DipoleElement, ...]
     reference: Position
-    _arrays: tuple = field(init=False, repr=False, compare=False)
-    _lattice: tuple | None = field(init=False, repr=False, compare=False, default=None)
+    _arrays: tuple = field(repr=False)
+    _lattice: tuple | None = field(repr=False)
+    _elements: tuple | None = field(repr=False)
 
-    def __post_init__(self):
-        elements = tuple(self.elements)
+    def __init__(self, elements, reference):
+        elements = tuple(elements)
         if not elements:
             raise InvalidArgumentError("ExtendedSource requires at least one element")
-        if all(e.weight == 0 for e in elements):
-            raise InvalidArgumentError("ExtendedSource requires a nonzero weight")
-        arrays = (*_point_arrays(*(e.point for e in elements)),
-                  np.array([e.weight for e in elements], dtype=complex))
-        for array in arrays:
-            array.flags.writeable = False
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_arrays", arrays)
+        _source(*_point_arrays(*(e.point for e in elements)), [e.weight for e in elements],
+                reference, src=self)
+        object.__setattr__(self, "_elements", elements)
+
+    @property
+    def elements(self) -> tuple[DipoleElement, ...]:
+        """The elements as :class:`DipoleElement` records, built from the arrays on first use."""
+        if self._elements is None:
+            object.__setattr__(self, "_elements", tuple(
+                DipoleElement(PolarizedPoint(Position(*r), Orientation(*u)), w)
+                for r, u, w in zip(*(array.tolist() for array in self._arrays))))
+        return self._elements
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.reference == other.reference and all(
+            np.array_equal(a, b) for a, b in zip(self._arrays, other._arrays))
+
+    def __hash__(self) -> int:
+        return hash((self.reference, tuple(self._arrays[2].tolist())))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._arrays[2])
 
     def positions_array(self) -> np.ndarray:
         return self._arrays[0]
@@ -100,17 +119,24 @@ class ExtendedSource:
         return self._arrays[2]
 
 
-def _on_lattice(src: ExtendedSource, steps, cells) -> ExtendedSource:
-    """Record that element i sits ``cells[i] @ steps`` away from the lattice origin.
-
-    ``steps`` holds the three (3,) step vectors as rows and ``cells`` the (M, 3)
-    integer cell index of each element; no two elements share a cell.  The
-    homogeneous kernel of a lattice source depends only on the lag between cells.
-    """
-    lattice = (np.array(steps, dtype=float), np.array(cells, dtype=np.intp).reshape(-1, 3))
-    for array in lattice:
+def _source(positions, orientations, weights, reference: Position, lattice=None,
+            src: ExtendedSource | None = None) -> ExtendedSource:
+    """The source (``src`` when given) whose state is these arrays and lattice."""
+    weights = np.asarray(weights, dtype=complex)
+    for name, array in (("Position coordinates", positions), ("element weight", weights)):
+        if not np.isfinite(array).all():
+            _require_finite(name, *array.ravel().tolist())
+    if not weights.any():
+        raise InvalidArgumentError("ExtendedSource requires a nonzero weight")
+    if lattice is not None:
+        lattice = (np.array(lattice[0], dtype=float),
+                   np.array(lattice[1], dtype=np.intp).reshape(-1, 3))
+    for array in (positions, orientations, weights, *(lattice or ())):
         array.flags.writeable = False
-    object.__setattr__(src, "_lattice", lattice)
+    src = object.__new__(ExtendedSource) if src is None else src
+    for name, value in (("reference", reference), ("_arrays", (positions, orientations, weights)),
+                        ("_lattice", lattice), ("_elements", None)):
+        object.__setattr__(src, name, value)
     return src
 
 
@@ -119,11 +145,7 @@ def point_source(p: PolarizedPoint, amplitude: complex = 1.0 + 0.0j) -> Extended
     amplitude = complex(amplitude)
     if amplitude == 0:
         raise InvalidArgumentError("point source amplitude must be nonzero")
-    src = ExtendedSource(
-        elements=(DipoleElement(point=p, weight=amplitude),),
-        reference=p.position,
-    )
-    return _on_lattice(src, np.zeros((3, 3)), [(0, 0, 0)])
+    return _source(*_point_arrays(p), [amplitude], p.position, (np.zeros((3, 3)), [(0, 0, 0)]))
 
 
 def pair_source(a: PolarizedPoint, b: PolarizedPoint, p: float, phase: float) -> ExtendedSource:
@@ -135,21 +157,11 @@ def pair_source(a: PolarizedPoint, b: PolarizedPoint, p: float, phase: float) ->
     _require_positive("pair amplitude", p)
     _require_finite("phase", phase)
     w = p / math.sqrt(2.0)
-    midpoint = Position(
-        0.5 * (a.position.x + b.position.x),
-        0.5 * (a.position.y + b.position.y),
-        0.5 * (a.position.z + b.position.z),
-    )
-    src = ExtendedSource(
-        elements=(
-            DipoleElement(point=a, weight=complex(w, 0.0)),
-            DipoleElement(point=b, weight=w * cmath.exp(1j * phase)),
-        ),
-        reference=midpoint,
-    )
-    positions = src.positions_array()
-    return _on_lattice(src, np.vstack([positions[1] - positions[0], np.zeros((2, 3))]),
-                       [(0, 0, 0), (1, 0, 0)])
+    positions, orientations = _point_arrays(a, b)
+    return _source(positions, orientations, [complex(w, 0.0), w * cmath.exp(1j * phase)],
+                   Position(*(0.5 * (u + v) for u, v in zip(*positions.tolist()))),
+                   (np.vstack([positions[1] - positions[0], np.zeros((2, 3))]),
+                    [(0, 0, 0), (1, 0, 0)]))
 
 
 def line_source(center: Position, axis: Orientation, polarization: Orientation,
@@ -166,26 +178,15 @@ def line_source(center: Position, axis: Orientation, polarization: Orientation,
     _require_positive("cluster amplitude", p)
     if n == 1 or d == 0.0:
         # a zero-length cluster is a single dipole carrying the full amplitude
-        return point_source(PolarizedPoint(center, polarization), p)
-    w = complex(p / math.sqrt(n), 0.0)
-    offsets = [(i / (n - 1) - 0.5) * d for i in range(n)]
-    elements = tuple(
-        DipoleElement(
-            point=PolarizedPoint(
-                Position(
-                    center.x + t * axis.ux,
-                    center.y + t * axis.uy,
-                    center.z + t * axis.uz,
-                ),
-                polarization,
-            ),
-            weight=w,
-        )
-        for t in offsets
-    )
-    step = (d / (n - 1)) * axis.as_array()
-    return _on_lattice(ExtendedSource(elements=elements, reference=center),
-                       np.vstack([step, np.zeros((2, 3))]), [(i, 0, 0) for i in range(n)])
+        n, step, positions = 1, np.zeros(3), center.as_array()[None]
+    else:
+        step = (d / (n - 1)) * axis.as_array()
+        offsets = (np.arange(n) / (n - 1) - 0.5) * d
+        with np.errstate(over="ignore"):  # _source reports an overflowing coordinate
+            positions = center.as_array() + offsets[:, None] * axis.as_array()
+    return _source(positions, np.tile(polarization.as_array(), (n, 1)),
+                   np.full(n, complex(p / math.sqrt(n), 0.0)), center,
+                   (np.vstack([step, np.zeros((2, 3))]), np.outer(np.arange(n), [1, 0, 0])))
 
 
 def default_element_count(d: float, k: Wavenumber, n: float = 1.0) -> int:
@@ -265,21 +266,16 @@ def sampled_source(density: Callable[[Position], complex],
     cells are dropped.  Raises if the density vanishes on every cell.
     """
     dv = grid.cell_measure()
-    elements = []
-    cells = []
+    kept = []
     for pos, cell in zip(grid.centers(), np.ndindex(grid.shape)):
         w = complex(density(pos)) * dv
-        if w == 0:
-            continue
-        elements.append(DipoleElement(point=PolarizedPoint(pos, polarization(pos)), weight=w))
-        cells.append(cell)
-    if not elements:
+        if w != 0:
+            u = polarization(pos)
+            kept.append((cell, (pos.x, pos.y, pos.z), (u.ux, u.uy, u.uz), w))
+    if not kept:
         raise InvalidArgumentError("density vanishes on the whole sampling grid")
+    cells, positions, orientations, weights = zip(*kept)
     if reference is None:
-        reference = Position(
-            0.5 * (grid.lo[0] + grid.hi[0]),
-            0.5 * (grid.lo[1] + grid.hi[1]),
-            0.5 * (grid.lo[2] + grid.hi[2]),
-        )
-    return _on_lattice(ExtendedSource(elements=tuple(elements), reference=reference),
-                       np.diag(grid._steps()), cells)
+        reference = Position(*(0.5 * (l + h) for l, h in zip(grid.lo, grid.hi)))
+    return _source(np.array(positions, dtype=float), np.array(orientations, dtype=float),
+                   weights, reference, (np.diag(grid._steps()), cells))

@@ -25,6 +25,7 @@ from purcellx import (
     line_source,
     pair_source,
     point_source,
+    sampled_source,
     two_dipole_rate,
     wavelength_to_k,
 )
@@ -66,6 +67,8 @@ FINITE_ARGUMENTS = {
     "orientation_from_vector": ("Orientation components",
                                 lambda v: Orientation.from_vector(1.0, 0.0, v), False),
     "element_weight": ("element weight", lambda v: DipoleElement(_A, v), True),
+    "sampled_source_weight": ("element weight", lambda v: sampled_source(
+        lambda r: v, lambda r: Y, SamplingGrid((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2, 1, 1))), True),
     "surrogate_amplitude": ("amplitude",
                             lambda v: AnalyticSurrogateParams(160.0, 400.0, 120.0, Y, v), True),
     "pair_phase": ("phase", lambda v: pair_source(_A, _B, 1.0, v), False),
@@ -147,6 +150,13 @@ def test_wavelength_roundtrip(k):
 def test_position_requires_finite():
     with pytest.raises(InvalidArgumentError):
         Position(0.0, math.inf, 0.0)
+
+
+def test_line_source_reports_an_overflowing_coordinate():
+    with pytest.raises(InvalidArgumentError) as err:
+        line_source(Position(1.5e308, 0.0, 0.0), Orientation(1.0, 0.0, 0.0), Y, d=1e308,
+                    n_elements=3)
+    assert str(err.value) == "Position coordinates must be finite, got inf"
 
 
 def test_orientation_requires_unit_norm():

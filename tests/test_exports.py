@@ -1,6 +1,9 @@
-"""Every name a module exports in ``__all__`` resolves."""
+"""Every name a module exports in ``__all__`` resolves, and every name the bench tracer wraps."""
 
 import importlib
+import importlib.util
+import pathlib
+import sys
 
 import pytest
 
@@ -15,3 +18,25 @@ def test_all_names_resolve(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_bench_trace_hooks_install_and_restore(monkeypatch):
+    # the benchmark's tracer wraps package names by owner and attribute; a rename breaks it
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+
+    def current(owner, attr):
+        return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        patches = list(tracer._patches)
+        assert patches and all(current(owner, attr) is not original
+                               for owner, attr, original in patches)
+    finally:
+        tracer.uninstall()
+    assert all(current(owner, attr) is original for owner, attr, original in patches)

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import strats
 from purcellx import (
+    DipoleElement,
     ExtendedSource,
     HomogeneousGreens,
     InvalidArgumentError,
@@ -100,7 +103,7 @@ def test_line_source_rejects_bad_args():
         line_source(c, X, Y, d=10.0, n_elements=5, p=0.0)
 
 
-@pytest.mark.parametrize("count", [2.5, math.nan, math.inf, "3"])
+@pytest.mark.parametrize("count", [2.5, math.nan, math.inf, "3", True])
 def test_line_source_rejects_non_integral_counts(count):
     with pytest.raises(InvalidArgumentError, match="element count"):
         line_source(Position(0.0, 0.0, 0.0), X, Y, d=100.0, n_elements=count)
@@ -116,6 +119,8 @@ def test_sampling_grid_rejects_non_integral_shape():
         SamplingGrid(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 0.0), shape=(2.7, 2, 1))
     with pytest.raises(InvalidArgumentError, match="grid shape"):
         SamplingGrid(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 0.0), shape=(2, 0, 1))
+    with pytest.raises(InvalidArgumentError, match="grid shape"):
+        SamplingGrid(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 0.0), shape=(True, 1, 1))
 
 
 def test_sampling_grid_rejects_stacked_cells_on_a_flat_axis():
@@ -143,6 +148,101 @@ def test_builders_record_a_lattice_that_equality_ignores():
         by_hand = ExtendedSource(src.elements, src.reference)
         assert by_hand._lattice is None
         assert by_hand == src and hash(by_hand) == hash(src)
+
+
+def _element_arrays(elements):
+    """Positions, orientations and weights of an element list, read one element at a time."""
+    return (
+        np.array([(e.point.position.x, e.point.position.y, e.point.position.z) for e in elements],
+                 dtype=float),
+        np.array([(e.point.orientation.ux, e.point.orientation.uy, e.point.orientation.uz)
+                  for e in elements], dtype=float),
+        np.array([e.weight for e in elements], dtype=complex),
+    )
+
+
+def _assert_built_as_by_hand(src, elements, reference, steps, cells):
+    want = (*_element_arrays(elements), np.array(steps, dtype=float),
+            np.array(cells, dtype=np.intp).reshape(-1, 3))
+    got = (src.positions_array(), src.orientations_array(), src.weights_array(), *src._lattice)
+    for array, expected in zip(got, want):
+        assert array.dtype == expected.dtype and array.shape == expected.shape
+        assert array.tobytes() == expected.tobytes()
+    assert src.reference == reference
+    assert src.elements == tuple(elements)
+    copy = ExtendedSource(src.elements, src.reference)
+    assert copy == src and hash(copy) == hash(src)
+    assert copy._lattice is None
+
+
+_amplitudes = st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0,
+                                 allow_nan=False, allow_infinity=False)
+_grid_axes = st.tuples(st.floats(-400.0, 400.0), st.one_of(st.just(0.0), st.floats(1.0, 400.0)),
+                       st.integers(1, 6))
+
+
+@given(center=strats.positions, other=strats.positions, axis=strats.orientations(),
+       polarization=strats.orientations(), other_polarization=strats.orientations(),
+       d=st.one_of(st.just(0.0), st.floats(1e-3, 1000.0)), n=st.integers(1, 60),
+       p=st.floats(0.01, 10.0), amplitude=_amplitudes, phase=st.floats(-10.0, 10.0),
+       axes=st.tuples(_grid_axes, _grid_axes, _grid_axes), kx=strats.coords, data=st.data())
+def test_builders_match_element_by_element_construction(center, axis, polarization, other,
+                                                        other_polarization, d, n, p, amplitude,
+                                                        phase, axes, kx, data):
+    # line: the offsets and positions of each element in scalar floats
+    if n == 1 or d == 0.0:
+        line_elements = [DipoleElement(PolarizedPoint(center, polarization), p)]
+        steps, cells = np.zeros((3, 3)), [(0, 0, 0)]
+    else:
+        w = complex(p / math.sqrt(n), 0.0)
+        line_elements = [
+            DipoleElement(PolarizedPoint(Position(center.x + t * axis.ux, center.y + t * axis.uy,
+                                                  center.z + t * axis.uz), polarization), w)
+            for t in ((i / (n - 1) - 0.5) * d for i in range(n))
+        ]
+        steps = np.vstack([(d / (n - 1)) * axis.as_array(), np.zeros((2, 3))])
+        cells = [(i, 0, 0) for i in range(n)]
+    _assert_built_as_by_hand(line_source(center, axis, polarization, d, n, p),
+                             line_elements, center, steps, cells)
+
+    a = PolarizedPoint(center, polarization)
+    _assert_built_as_by_hand(point_source(a, amplitude), [DipoleElement(a, amplitude)],
+                             center, np.zeros((3, 3)), [(0, 0, 0)])
+
+    b = PolarizedPoint(other, other_polarization)
+    w = p / math.sqrt(2.0)
+    midpoint = Position(0.5 * (center.x + other.x), 0.5 * (center.y + other.y),
+                        0.5 * (center.z + other.z))
+    _assert_built_as_by_hand(
+        pair_source(a, b, p, phase),
+        [DipoleElement(a, complex(w, 0.0)), DipoleElement(b, w * cmath.exp(1j * phase))],
+        midpoint, np.vstack([other.as_array() - center.as_array(), np.zeros((2, 3))]),
+        [(0, 0, 0), (1, 0, 0)])
+
+    # sampled: a phase-ramped density that drops the cells hypothesis picks
+    grid = SamplingGrid(lo=tuple(lo for lo, _, _ in axes),
+                        hi=tuple(lo + extent for lo, extent, _ in axes),
+                        shape=tuple(count if extent > 0.0 else 1 for _, extent, count in axes))
+    size = int(np.prod(grid.shape))
+    kept = data.draw(st.lists(st.booleans(), min_size=size, max_size=size).filter(any))
+    keep = dict(zip(grid.centers(), kept))
+
+    def density(r):
+        return amplitude * cmath.exp(1j * 1e-3 * kx * r.x) if keep[r] else 0.0
+
+    def orient(r):
+        return Orientation.from_vector(1.0, math.sin(r.x), math.cos(r.y))
+
+    dv = grid.cell_measure()
+    sampled_elements, sampled_cells = [], []
+    for pos, cell in zip(grid.centers(), np.ndindex(grid.shape)):
+        weight = complex(density(pos)) * dv
+        if weight != 0:
+            sampled_elements.append(DipoleElement(PolarizedPoint(pos, orient(pos)), weight))
+            sampled_cells.append(cell)
+    middle = Position(*(0.5 * (lo + hi) for lo, hi in zip(grid.lo, grid.hi)))
+    _assert_built_as_by_hand(sampled_source(density, orient, grid), sampled_elements, middle,
+                             np.diag(grid._steps()), sampled_cells)
 
 
 def test_default_element_count_spacing_rule():
