@@ -8,7 +8,11 @@ Two subcommands:
 * ``purcellx check [--verbose]`` runs the cross-module invariant suite and
   exits nonzero if any invariant fails.
 
-Config field names mirror the library constructor parameters one-to-one.
+Config keys map to library parameters as ``x0_nm`` -> ``sign_change_half_width``,
+``sigma_x_nm``/``sigma_y_nm`` -> ``sigma_x``/``sigma_y``, ``d_nm`` -> ``d``,
+``elements: auto|N`` -> ``n_elements`` and a line's or pair's ``amplitude`` -> ``p``.
+``lambda_m_nm``|``k_m`` gives ``k_m`` and ``q``|``gamma_m`` gives ``gamma_m``;
+each of these pairs, and a sweep's ``lambda_nm``|``k``, takes exactly one key.
 Sweep outputs are bitwise deterministic for a fixed config: every sweep
 runs on one thread, and no point's value depends on the rest of its grid.
 """
@@ -74,6 +78,12 @@ def _number(value, path, positive=False, minimum=None):
     return v
 
 
+def _count(value, path) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(path, f"expected an integer >= 1, got {value!r}")
+    return value
+
+
 def _vec3(value, path):
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(path, f"expected a 3-vector, got {value!r}")
@@ -91,6 +101,13 @@ def _direction(value, path) -> Orientation:
         raise ConfigError(path, str(exc)) from exc
 
 
+def _polarized_point(spec, path) -> PolarizedPoint:
+    return PolarizedPoint(
+        _position(_req(spec, "position", path), f"{path}.position"),
+        _direction(_req(spec, "orientation", path), f"{path}.orientation"),
+    )
+
+
 def _complex_amplitude(value, path) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(float(value), 0.0)
@@ -99,25 +116,22 @@ def _complex_amplitude(value, path) -> complex:
     raise ConfigError(path, f"expected a number or [re, im] pair, got {value!r}")
 
 
+def _either(spec, path, first, second):
+    """The one key of ``first`` and ``second`` that ``spec`` gives."""
+    if (first in spec) == (second in spec):
+        raise ConfigError(path, f"give exactly one of {first} or {second}")
+    return first if first in spec else second
+
+
 def _resonance(spec, path):
     """Return (k_m, gamma_m) from lambda_m_nm|k_m plus q|gamma_m."""
-    if "k_m" in spec and "lambda_m_nm" in spec:
-        raise ConfigError(path, "give either k_m or lambda_m_nm, not both")
-    if "k_m" in spec:
-        k_m = _number(spec["k_m"], f"{path}.k_m", positive=True)
-    elif "lambda_m_nm" in spec:
-        k_m = wavelength_to_k(_number(spec["lambda_m_nm"], f"{path}.lambda_m_nm", positive=True))
-    else:
-        raise ConfigError(path, "missing resonance: give k_m or lambda_m_nm")
-    if "gamma_m" in spec and "q" in spec:
-        raise ConfigError(path, "give either gamma_m or q, not both")
-    if "gamma_m" in spec:
-        gamma_m = _number(spec["gamma_m"], f"{path}.gamma_m", positive=True)
-    elif "q" in spec:
-        gamma_m = k_m / _number(spec["q"], f"{path}.q", positive=True)
-    else:
-        raise ConfigError(path, "missing linewidth: give gamma_m or q")
-    return k_m, gamma_m
+    key = _either(spec, path, "k_m", "lambda_m_nm")
+    k_m = _number(spec[key], f"{path}.{key}", positive=True)
+    if key == "lambda_m_nm":
+        k_m = wavelength_to_k(k_m)
+    key = _either(spec, path, "gamma_m", "q")
+    value = _number(spec[key], f"{path}.{key}", positive=True)
+    return k_m, (value if key == "gamma_m" else k_m / value)
 
 
 def _field_model(spec, path, base_dir):
@@ -189,35 +203,21 @@ class LineSpec:
 def _source(spec, path):
     kind = _req(spec, "kind", path)
     if kind == "point":
-        point = PolarizedPoint(
-            _position(_req(spec, "position", path), f"{path}.position"),
-            _direction(_req(spec, "orientation", path), f"{path}.orientation"),
-        )
+        point = _polarized_point(spec, path)
         amplitude = _complex_amplitude(spec.get("amplitude", 1.0), f"{path}.amplitude")
         if amplitude == 0:
             raise ConfigError(f"{path}.amplitude", "must be nonzero")
         return sources.point_source(point, amplitude)
     if kind == "pair":
-        def endpoint(key):
-            sub = _req(spec, key, path)
-            return PolarizedPoint(
-                _position(_req(sub, "position", f"{path}.{key}"), f"{path}.{key}.position"),
-                _direction(_req(sub, "orientation", f"{path}.{key}"), f"{path}.{key}.orientation"),
-            )
         return sources.pair_source(
-            endpoint("a"),
-            endpoint("b"),
+            _polarized_point(_req(spec, "a", path), f"{path}.a"),
+            _polarized_point(_req(spec, "b", path), f"{path}.b"),
             _number(spec.get("amplitude", 1.0), f"{path}.amplitude", positive=True),
             _number(spec.get("phase", 0.0), f"{path}.phase"),
         )
     if kind == "line":
         elements = spec.get("elements", "auto")
-        if elements == "auto":
-            elements = None
-        elif isinstance(elements, int) and not isinstance(elements, bool) and elements >= 1:
-            pass
-        else:
-            raise ConfigError(f"{path}.elements", f"expected 'auto' or an integer >= 1, got {elements!r}")
+        elements = None if elements == "auto" else _count(elements, f"{path}.elements")
         d_nm = spec.get("d_nm")
         if d_nm is not None:
             d_nm = _number(d_nm, f"{path}.d_nm", minimum=0.0)
@@ -236,39 +236,23 @@ def _grid_spec(spec, path, **bounds) -> np.ndarray:
     """``count`` points ascending from ``start``, so ``bounds`` checked on ``start`` hold for all."""
     start = _number(_req(spec, "start", path), f"{path}.start", **bounds)
     stop = _number(_req(spec, "stop", path), f"{path}.stop")
-    count = _req(spec, "count", path)
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        raise ConfigError(f"{path}.count", f"expected an integer >= 1, got {count!r}")
+    count = _count(_req(spec, "count", path), f"{path}.count")
     if count > 1 and stop <= start:
         raise ConfigError(f"{path}.stop", "must exceed start")
     return np.linspace(start, stop, count)
 
 
-def _sweep_k(spec, path):
-    has_k = "k" in spec
-    has_lambda = "lambda_nm" in spec
-    if has_k == has_lambda:
-        raise ConfigError(path, "give exactly one of k or lambda_nm")
-    return has_k
-
-
 def _sweep(spec, path):
     kind = _req(spec, "kind", path)
+    if kind not in ("spectrum", "length"):
+        raise ConfigError(f"{path}.kind", f"unknown sweep kind {kind!r}")
+    key = _either(spec, path, "k", "lambda_nm")
     if kind == "spectrum":
-        if _sweep_k(spec, path):
-            grid = _grid_spec(spec["k"], f"{path}.k", positive=True)
-        else:
-            lam = _grid_spec(spec["lambda_nm"], f"{path}.lambda_nm", positive=True)
-            grid = np.sort(2.0 * math.pi / lam)
-        return ("spectrum", grid)
-    if kind == "length":
-        d_grid = _grid_spec(_req(spec, "d_nm", path), f"{path}.d_nm", minimum=0.0)
-        if _sweep_k(spec, path):
-            k = _number(spec["k"], f"{path}.k", positive=True)
-        else:
-            k = wavelength_to_k(_number(spec["lambda_nm"], f"{path}.lambda_nm", positive=True))
-        return ("length", d_grid, k)
-    raise ConfigError(f"{path}.kind", f"unknown sweep kind {kind!r}")
+        grid = _grid_spec(spec[key], f"{path}.{key}", positive=True)
+        return ("spectrum", grid if key == "k" else np.sort(2.0 * math.pi / grid))
+    d_grid = _grid_spec(_req(spec, "d_nm", path), f"{path}.d_nm", minimum=0.0)
+    k = _number(spec[key], f"{path}.{key}", positive=True)
+    return ("length", d_grid, k if key == "k" else wavelength_to_k(k))
 
 
 @dataclass
@@ -331,12 +315,8 @@ def _fmt(value: float) -> str:
 def run_scenario(cfg: ScenarioConfig, out_dir: str, output_format: str, verbose: bool):
     """Execute a parsed scenario and write its outputs; returns the summary."""
     os.makedirs(out_dir, exist_ok=True)
-    header = [
-        f"# scenario={cfg.scenario}",
-        f"# config_sha256={cfg.config_hash}",
-    ]
-
-    if cfg.sweep[0] == "spectrum":
+    kind = cfg.sweep[0]
+    if kind == "spectrum":
         _, k_grid = cfg.sweep
         if isinstance(cfg.source, LineSpec):
             spec = cfg.source
@@ -351,10 +331,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, output_format: str, verbose:
         spectrum = engine.sweep_spectrum(src, cfg.environment, cfg.reference, k_grid)
         grid = spectrum.k_values
         values = np.asarray(spectrum.samples, dtype=float)
-        csv_name = f"{cfg.scenario}_spectrum.csv"
-        lines = ["# purcellx spectrum sweep", *header, "k,lambda_nm,gamma_ratio"]
-        for k, g in zip(grid, values):
-            lines.append(f"{_fmt(k)},{_fmt(2.0 * math.pi / k)},{_fmt(g)}")
+        columns = {"k": grid, "lambda_nm": 2.0 * math.pi / grid, "gamma_ratio": values}
     else:
         _, d_grid, k = cfg.sweep
         spec = cfg.source
@@ -364,10 +341,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, output_format: str, verbose:
         )
         grid = result.d_values
         values = result.gamma_ratio
-        csv_name = f"{cfg.scenario}_length.csv"
-        lines = ["# purcellx length sweep", *header, "d_nm,gamma_ratio,extremity_field"]
-        for d, g, e in zip(grid, values, result.extremity_field):
-            lines.append(f"{_fmt(d)},{_fmt(g)},{_fmt(e)}")
+        columns = {"d_nm": grid, "gamma_ratio": values, "extremity_field": result.extremity_field}
 
     i_min = int(np.argmin(values))
     i_max = int(np.argmax(values))
@@ -380,7 +354,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, output_format: str, verbose:
 
     written = []
     if output_format in ("csv", "both"):
-        csv_path = os.path.join(out_dir, csv_name)
+        csv_path = os.path.join(out_dir, f"{cfg.scenario}_{kind}.csv")
+        lines = [f"# purcellx {kind} sweep", f"# scenario={cfg.scenario}",
+                 f"# config_sha256={cfg.config_hash}", ",".join(columns),
+                 *(",".join(map(_fmt, row)) for row in zip(*columns.values()))]
         with open(csv_path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
         written.append(csv_path)

@@ -110,7 +110,7 @@ def _require_count(name: str, value) -> int:
     return count
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Position:
     """A point in space, coordinates in nanometers."""
 
@@ -125,7 +125,7 @@ class Position:
         return np.array([self.x, self.y, self.z], dtype=float)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Orientation:
     """A unit vector giving a transition-dipole direction.
 
@@ -157,7 +157,7 @@ class Orientation:
         return np.array([self.ux, self.uy, self.uz], dtype=float)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PolarizedPoint:
     """A position together with a transition-dipole orientation."""
 

@@ -75,7 +75,7 @@ class GreensModel(Protocol):
 StructuredModel = Union[ModeSet, QnmPair]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CompositeGreens:
     """Homogeneous radiative background plus a structured resonant model.
 
@@ -101,7 +101,7 @@ class CompositeGreens:
             self.structured.cdos_matrix(positions, orientations, k)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RateResult:
     """Normalized rate plus the two raw double sums behind it."""
 

@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class AnalyticSurrogateParams:
     """Parameters of the analytic surrogate mode profile.
 
@@ -82,7 +82,7 @@ class AnalyticSurrogateParams:
         object.__setattr__(self, "amplitude", amp)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class AnalyticSurrogate:
     """Separable analytic mode profile along a fixed polarization axis.
 

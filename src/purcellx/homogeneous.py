@@ -107,7 +107,7 @@ def radial_factors(x: float) -> tuple[float, float]:
     return float(a[0]), float(b[0])
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class HomogeneousGreens:
     """Homogeneous, loss-free medium of refractive index ``n`` (vacuum: n=1)."""
 

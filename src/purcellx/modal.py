@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class _PoleMode:
     """A mode field with a pole at ``k_m - i*gamma_m/2``; equality also compares the class."""
 
@@ -73,13 +73,12 @@ class _PoleMode:
         return self.k_m / self.gamma_m
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class LossyMode(_PoleMode):
     """A lossy eigenmode; construction warns when the mode is :attr:`high_loss`."""
 
     def __post_init__(self):
-        # zero-argument super() breaks in slotted dataclasses
-        _PoleMode.__post_init__(self)
+        super().__post_init__()
         if self.high_loss:
             warnings.warn(
                 f"mode damping gamma_m = {self.gamma_m!r} exceeds k_m/10; the "
@@ -136,7 +135,7 @@ def _qnm_product(x, y, pole):
     return (1.0 / math.pi) * _green_product(x, y, pole).imag
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ModeSet:
     """Non-empty collection of lossy modes acting as a Green's model.
 

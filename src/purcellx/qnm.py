@@ -59,7 +59,7 @@ ZERO_FIELD_CUTOFF = 1e-14
 _TAN_POLE_CUTOFF = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Qnm(_PoleMode):
     """A quasinormal mode: complex-valued field plus complex resonance.
 
@@ -68,7 +68,7 @@ class Qnm(_PoleMode):
     """
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class QnmPair:
     """Two coupled-cavity quasinormal modes acting as a Green's model."""
 
@@ -189,7 +189,7 @@ def fano_q_params(phi1: float, phi2: float) -> FanoQParams:
     return FanoQParams(q1, q2, q12_mean, q12_half)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class FanoTerm:
     """One mode's contribution to a Fano-decomposed spectrum."""
 

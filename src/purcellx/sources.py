@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class DipoleElement:
     """One elementary dipole of an extended source."""
 
@@ -60,7 +60,7 @@ class DipoleElement:
         object.__setattr__(self, "weight", w)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ExtendedSource:
     """Non-empty set of mutually coherent dipoles plus a reference point.
 
@@ -105,6 +105,10 @@ class ExtendedSource:
 
     def __hash__(self) -> int:
         return hash((self.reference, tuple(self._arrays[2].tolist())))
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt through the checks and read-only marking of a built source
+        return _source, (*self._arrays, self.reference, self._lattice)
 
     def __len__(self) -> int:
         return len(self._arrays[2])
@@ -202,7 +206,7 @@ def default_element_count(d: float, k: Wavenumber, n: float = 1.0) -> int:
     return int(math.ceil(d / spacing_max)) + 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SamplingGrid:
     """Regular box of cells for discretizing a dipole density.
 

@@ -218,24 +218,16 @@ def test_out_of_domain_is_runtime_error(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
-def test_worker_count_determinism(tmp_path, monkeypatch):
-    cfg = _write(tmp_path, LINE_LENGTH)
-    outputs = {}
-    for workers in ("1", "8"):
-        out = tmp_path / f"out{workers}"
-        monkeypatch.setenv("PURCELLX_WORKERS", workers)
-        assert main(["run", "--config", cfg, "--out", str(out), "--format", "csv"]) == 0
-        outputs[workers] = (out / "demo-length_length.csv").read_bytes()
-    assert outputs["1"] == outputs["8"]
-
-
-def test_repeat_run_bitwise_deterministic(tmp_path):
-    cfg = _write(tmp_path, POINT_SPECTRUM)
+@pytest.mark.parametrize("text,csv_name", [(POINT_SPECTRUM, "demo-point_spectrum.csv"),
+                                           (LINE_LENGTH, "demo-length_length.csv")],
+                         ids=["spectrum", "length"])
+def test_repeat_run_bitwise_deterministic(tmp_path, text, csv_name):
+    cfg = _write(tmp_path, text)
     blobs = []
     for i in range(2):
         out = tmp_path / f"rep{i}"
         assert main(["run", "--config", cfg, "--out", str(out), "--format", "csv"]) == 0
-        blobs.append((out / "demo-point_spectrum.csv").read_bytes())
+        blobs.append((out / csv_name).read_bytes())
     assert blobs[0] == blobs[1]
 
 
@@ -332,6 +324,10 @@ CONFIG_ERRORS = [
     (POINT_SPECTRUM, {"source.position": [0.0, "x", 0.0]}, "source.position[1]"),
     (POINT_SPECTRUM, {"source.position": [math.nan, 0.0, 0.0]}, "source.position[0]"),
     (POINT_SPECTRUM, {"source": {"kind": "pair", "a": _ENDPOINT}}, "source.b"),
+    (POINT_SPECTRUM, {"source": {"kind": "pair", "a": {"position": [0.0, 0.0, 0.0]},
+                                 "b": _ENDPOINT}}, "source.a.orientation"),
+    (POINT_SPECTRUM, {"source": {"kind": "pair", "a": [0.0, 0.0, 0.0], "b": _ENDPOINT}},
+     "source.a"),
     (POINT_SPECTRUM, {"source": {"kind": "pair", "a": _ENDPOINT, "b": _ENDPOINT,
                                  "amplitude": -1.0}}, "source.amplitude"),
     (POINT_SPECTRUM, {"source": {"kind": "pair", "a": _ENDPOINT, "b": _ENDPOINT,
@@ -339,15 +335,20 @@ CONFIG_ERRORS = [
     (POINT_SPECTRUM, {"sweep.kind": "bogus"}, "sweep.kind"),
     (POINT_SPECTRUM, {"sweep.lambda_nm": _DELETE}, "sweep"),
     (POINT_SPECTRUM, {"sweep.lambda_nm.count": 0}, "sweep.lambda_nm.count"),
+    (POINT_SPECTRUM, {"sweep.lambda_nm.count": True}, "sweep.lambda_nm.count"),
     (POINT_SPECTRUM, {"sweep.lambda_nm.stop": 1268.0}, "sweep.lambda_nm.stop"),
     (POINT_SPECTRUM, {"sweep.lambda_nm.start": -1.0}, "sweep.lambda_nm.start"),
     (POINT_SPECTRUM, {"sweep.lambda_nm": _DELETE,
                       "sweep.k": {"start": -0.001, "stop": 0.005, "count": 11}}, "sweep.k.start"),
     (LINE_LENGTH, {"source.elements": 0}, "source.elements"),
+    (LINE_LENGTH, {"source.elements": True}, "source.elements"),
+    (LINE_LENGTH, {"source.elements": 2.5}, "source.elements"),
     (LINE_LENGTH, {"source.d_nm": -1.0}, "source.d_nm"),
     (LINE_LENGTH, {"sweep.d_nm.start": -10.0}, "sweep.d_nm.start"),
     (LINE_LENGTH, {"sweep.lambda_nm": 0.0}, "sweep.lambda_nm"),
     (LINE_LENGTH, {"sweep.lambda_nm": _DELETE, "sweep.k": -0.005}, "sweep.k"),
+    (LINE_LENGTH, {"sweep.lambda_nm": _DELETE}, "sweep"),
+    (LINE_LENGTH, {"sweep.k": 0.005}, "sweep"),
     (LINE_LENGTH, {"sweep": {"kind": "spectrum", "lambda_nm": _LAMBDA_GRID}}, "source.d_nm"),
 ]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,16 +8,21 @@ from hypothesis import given, strategies as st
 from purcellx import (
     AnalyticSurrogate,
     AnalyticSurrogateParams,
+    CompositeGreens,
     DipoleElement,
+    ExtendedSource,
     FanoTerm,
     GridField,
     HomogeneousGreens,
     InvalidArgumentError,
     LossyMode,
+    ModeSet,
     Orientation,
     PolarizedPoint,
     Position,
     Qnm,
+    QnmPair,
+    RateResult,
     SamplingGrid,
     Spectrum,
     default_element_count,
@@ -228,3 +234,22 @@ def test_lower_bounded_arguments_reject_bad_values(site, bad):
         call(value)
     assert str(err.value) == f"{name} must be >= {minimum:g}, got {value!r}"
     call(minimum)
+
+
+_MODE = LossyMode(_FIELD, 0.005, 1e-5)
+_QNM = Qnm(_FIELD, 0.005, 1e-5)
+#: One instance of every public frozen record.
+FROZEN_RECORDS = [
+    _ORIGIN, Y, _A, DipoleElement(_A, 1.0), ExtendedSource((DipoleElement(_A, 1.0),), _ORIGIN),
+    SamplingGrid((0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (2, 2, 1)), HomogeneousGreens(1.0),
+    _MODE, _QNM, ModeSet((_MODE,)), QnmPair(_QNM, _QNM),
+    CompositeGreens(HomogeneousGreens(1.0), ModeSet((_MODE,))), RateResult(1.0, 2.0, 2.0, 0.005),
+    FanoTerm("a", 1.0, 0.5), _FIELD.params, _FIELD,
+]
+
+
+@pytest.mark.parametrize("record", FROZEN_RECORDS, ids=lambda r: type(r).__name__)
+def test_records_reject_every_assignment(record):
+    for name in (dataclasses.fields(record)[0].name, "not_a_field"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 1)

@@ -1,4 +1,4 @@
-"""Every name a module exports in ``__all__`` resolves, and every name the bench tracer wraps."""
+"""Every name a module exports in ``__all__`` resolves, and every name the bench reads or wraps."""
 
 import importlib
 import importlib.util
@@ -40,3 +40,21 @@ def test_bench_trace_hooks_install_and_restore(monkeypatch):
     finally:
         tracer.uninstall()
     assert all(current(owner, attr) is original for owner, attr, original in patches)
+
+
+@pytest.mark.parametrize("name", ["composite-line-spectrum", "gridfield-qnm-spectrum"])
+def test_bench_cli_workloads_run(tmp_path, monkeypatch, name):
+    # the benchmark's CLI workloads read parse_config, the parsed config and run_scenario
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+
+    workloads.generate(name, 7, True, str(tmp_path))
+    scenario = workloads.setup(name, str(tmp_path))
+    scenario.run()
+    rows = [line for line in pathlib.Path(scenario.csv_path).read_text().splitlines()
+            if not line.startswith("#")]
+    assert rows[0] == "k,lambda_nm,gamma_ratio"
+    assert len(rows) - 1 == workloads.SIZES[name]["smoke"]["k_count"]

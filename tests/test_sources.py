@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -352,3 +354,23 @@ def test_extended_source_arrays_are_built_once_and_read_only():
     assert src.positions_array() is arrays[0]
     # the cached arrays take no part in equality or hashing
     assert src == build() and hash(src) == hash(build())
+
+
+@pytest.mark.parametrize("duplicate", [lambda s: pickle.loads(pickle.dumps(s)), copy.copy,
+                                       copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+def test_copies_keep_read_only_arrays_and_lattice(duplicate):
+    line = line_source(Position(5.0, -3.0, 0.0), X, Y, d=240.0, n_elements=9, p=1.5)
+    by_hand = ExtendedSource((DipoleElement(PolarizedPoint(Position(0.0, 0.0, 0.0), Y), 1.0),
+                              DipoleElement(PolarizedPoint(Position(70.0, 20.0, 0.0), X), 0.5j)),
+                             Position(1.0, 2.0, 3.0))
+    k_grid = np.linspace(0.004, 0.006, 5)
+    forms = HomogeneousGreens(1.5).forms
+    for src in (line, by_hand):
+        dup = duplicate(src)
+        assert dup == src
+        assert not any(a.flags.writeable for a in dup._arrays + (dup._lattice or ()))
+        if src._lattice is None:
+            assert dup._lattice is None
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(dup._lattice, src._lattice))
+        assert np.array_equal(forms(dup, k_grid), forms(src, k_grid))
