@@ -100,6 +100,10 @@ class CompositeGreens:
         return self.background.cdos_matrix(positions, orientations, k) + \
             self.structured.cdos_matrix(positions, orientations, k)
 
+    def forms(self, src: ExtendedSource, k_grid) -> np.ndarray:
+        """The background's forms plus the structured part's; a sweep asks each part itself."""
+        return self.background.forms(src, k_grid) + self.structured.forms(src, k_grid)
+
 
 @dataclass(frozen=True)
 class RateResult:

@@ -1,9 +1,10 @@
 """Structured environments built from a discrete set of lossy eigenmodes,
-and the pole-sum kernel they share with the two-QNM model.
+and the one pole-expansion model they share with the two-QNM model.
 
-Every structured model here is a sum over resonance poles
-``1/(k_m - i*gamma_m/2 - k)``, weighted by the mode field projected on the
-two dipoles (:func:`_pole_sum`).  Models differ only in the field product:
+A pole model sums resonance poles ``1/(k_m - i*gamma_m/2 - k)``, weighted
+by the mode field projected on the two dipoles; its CDOS matrix and source
+forms are written once (:func:`_pole_matrix`, :func:`_pole_forms`), and a
+model class fixes only its modes and its two field products:
 
 * a lossy mode takes the Lorentzian ``(1/pi) Im(pole)`` times the real part
   of ``v_a conj(v_b)``; this is the low-loss limit of an open-resonator
@@ -109,30 +110,16 @@ def _pole_sum(modes, positions: np.ndarray, orientations: np.ndarray, k, product
     return total
 
 
-def _pole_forms(modes, src: ExtendedSource, k_grid, product) -> np.ndarray:
-    """The values ``w^H rho(k) w`` of a source over a wavenumber grid, from the pole sum."""
-    return _pole_sum(modes, src.positions_array(), src.orientations_array(),
-                     np.asarray(k_grid, dtype=float), product, src.weights_array())
+def _pole_matrix(model, positions: np.ndarray, orientations: np.ndarray,
+                 k: Wavenumber) -> np.ndarray:
+    """The (M, M) CDOS matrix of a pole model over M polarized points."""
+    return _pole_sum(model.structured_modes(), positions, orientations, k, model._product)
 
 
-def _lorentzian_product(x, y, pole):
-    """Lossy-mode CDOS term: the real Lorentzian ``Im(pole)/pi`` times ``Re(v v^H)``."""
-    return (pole.imag / math.pi) * (x * y.conjugate()).real
-
-
-def _lorentzian_form(x, y, pole):
-    """Lossy-mode term of ``w^H rho w``: ``Im(pole)/pi (|x|^2 + |y|^2)/2``."""
-    return (pole.imag / math.pi) * (0.5 * (abs(x) ** 2 + abs(y) ** 2))
-
-
-def _green_product(x, y, pole):
-    """Quasinormal-mode Green's term ``pole x y``, with no conjugation."""
-    return x * y * pole
-
-
-def _qnm_product(x, y, pole):
-    """Quasinormal-mode term ``Im(pole x y)/pi``, for the CDOS and ``w^H rho w`` alike."""
-    return (1.0 / math.pi) * _green_product(x, y, pole).imag
+def _pole_forms(model, src: ExtendedSource, k_grid) -> np.ndarray:
+    """The values ``w^H rho(k) w`` of a source over a wavenumber grid."""
+    return _pole_sum(model.structured_modes(), src.positions_array(), src.orientations_array(),
+                     np.asarray(k_grid, dtype=float), model._form, src.weights_array())
 
 
 @dataclass(frozen=True)
@@ -144,6 +131,7 @@ class ModeSet:
     """
 
     modes: tuple[LossyMode, ...]
+    background_index = 1.0
 
     def __post_init__(self):
         modes = tuple(self.modes)
@@ -151,22 +139,22 @@ class ModeSet:
             raise InvalidArgumentError("ModeSet requires at least one mode")
         object.__setattr__(self, "modes", modes)
 
-    @property
-    def background_index(self) -> float:
-        return 1.0
-
     def structured_modes(self) -> tuple[LossyMode, ...]:
         return self.modes
 
+    @staticmethod
+    def _product(x, y, pole):
+        """CDOS term: the real Lorentzian ``Im(pole)/pi`` times ``Re(v v^H)``."""
+        return (pole.imag / math.pi) * (x * y.conjugate()).real
+
+    @staticmethod
+    def _form(x, y, pole):
+        """Term of ``w^H rho w``: ``Im(pole)/pi (|x|^2 + |y|^2)/2``."""
+        return (pole.imag / math.pi) * (0.5 * (abs(x) ** 2 + abs(y) ** 2))
+
     cdos = _two_point
-
-    def cdos_matrix(self, positions: np.ndarray, orientations: np.ndarray,
-                    k: Wavenumber) -> np.ndarray:
-        return _pole_sum(self.modes, positions, orientations, k, _lorentzian_product)
-
-    def forms(self, src: ExtendedSource, k_grid) -> np.ndarray:
-        """The values ``w^H rho(k) w`` of a source over a wavenumber grid."""
-        return _pole_forms(self.modes, src, k_grid, _lorentzian_form)
+    cdos_matrix = _pole_matrix
+    forms = _pole_forms
 
 
 cdos_modal = _two_point

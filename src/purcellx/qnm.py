@@ -3,8 +3,8 @@
 The model sums two resonance poles at complex frequencies k_m - i*gamma_m/2
 with *unconjugated* field products, which is what produces non-Lorentzian
 (Fano) LDOS and CDOS spectra when the mode fields carry nontrivial phases.
-The pole sum itself is the one shared with lossy modes
-(:mod:`purcellx.modal`); only the field product differs.
+It is the one pole model of :mod:`purcellx.modal`, shared with lossy modes;
+:class:`QnmPair` fixes only its field product, one for both of its terms.
 
 Every LDOS/CDOS spectrum of this model decomposes exactly into one Fano
 profile per mode.  The half-angle convention q = tan((phi_1 + phi_2)/2)
@@ -33,8 +33,7 @@ from .core import (
     _two_point,
 )
 from .fields import projected_field, projected_field_many
-from .modal import _PoleMode, _green_product, _pole_forms, _pole_sum, _qnm_product
-from .sources import ExtendedSource
+from .modal import _PoleMode, _pole_forms, _pole_matrix, _pole_sum
 
 __all__ = [
     "Qnm",
@@ -74,33 +73,20 @@ class QnmPair:
 
     qnm_a: Qnm
     qnm_b: Qnm
-
-    @property
-    def background_index(self) -> float:
-        return 1.0
+    background_index = 1.0
 
     def structured_modes(self) -> tuple[Qnm, Qnm]:
         return (self.qnm_a, self.qnm_b)
 
-    def labeled(self) -> tuple[tuple[str, Qnm], tuple[str, Qnm]]:
-        return (("a", self.qnm_a), ("b", self.qnm_b))
+    @staticmethod
+    def _product(x, y, pole):
+        """CDOS term ``Im(pole x y)/pi``, with no conjugation; the term of ``w^H rho w`` too."""
+        return (1.0 / math.pi) * (x * y * pole).imag
 
-    def mode(self, label: str) -> Qnm:
-        if label == "a":
-            return self.qnm_a
-        if label == "b":
-            return self.qnm_b
-        raise InvalidArgumentError(f"unknown mode label {label!r}")
-
+    _form = _product
     cdos = _two_point
-
-    def cdos_matrix(self, positions: np.ndarray, orientations: np.ndarray,
-                    k: Wavenumber) -> np.ndarray:
-        return _pole_sum(self.structured_modes(), positions, orientations, k, _qnm_product)
-
-    def forms(self, src: ExtendedSource, k_grid) -> np.ndarray:
-        """The values ``w^H rho(k) w`` of a source over a wavenumber grid."""
-        return _pole_forms(self.structured_modes(), src, k_grid, _qnm_product)
+    cdos_matrix = _pole_matrix
+    forms = _pole_forms
 
 
 def green_qnm_projected(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
@@ -110,7 +96,8 @@ def green_qnm_projected(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
     Each mode contributes ``(u_a.E(r_a)) (u_b.E(r_b)) / (2k (k_m - i g_m/2 - k))``
     with no conjugation of the second field factor.
     """
-    pole_sum = _pole_sum(pair.structured_modes(), *_point_arrays(a, b), k, _green_product)
+    pole_sum = _pole_sum(pair.structured_modes(), *_point_arrays(a, b), k,
+                         lambda x, y, pole: x * y * pole)
     return complex(pole_sum[0, 1]) / (2.0 * k)
 
 
@@ -201,23 +188,27 @@ class FanoTerm:
         _require_finite("coefficient", self.coefficient)
 
 
-def _decompose(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
-               half_angle: bool) -> list[FanoTerm]:
-    terms: list[FanoTerm] = []
+def _decompose(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint) -> list[tuple]:
+    """Per mode with a nonzero projected field at both points: its label, its
+    phases at ``a`` and ``b`` and its Fano coefficient ``-2 |z_a z_b| / (pi g_m)``."""
+    live = []
     positions, orientations = _point_arrays(a, b)
-    for label, mode in pair.labeled():
+    for label, mode in zip("ab", pair.structured_modes()):
         za, zb = projected_field_many(mode.field, positions, orientations)
         if min(abs(za), abs(zb)) < ZERO_FIELD_CUTOFF:
             continue
-        params = fano_q_params(_phase(za), _phase(zb))
-        q = params.q12_halfangle if half_angle else params.q12_mean
-        coefficient = float(-2.0 * abs(za * zb) / (math.pi * mode.gamma_m))
-        terms.append(FanoTerm(label=label, q=q, coefficient=coefficient))
-    if not terms:
-        raise UndefinedPhaseError(
-            "no mode has a nonzero projected field at both points; nothing to decompose"
-        )
-    return terms
+        live.append((label, _phase(za), _phase(zb),
+                     float(-2.0 * abs(za * zb) / (math.pi * mode.gamma_m))))
+    if not live:
+        raise UndefinedPhaseError("no mode has a nonzero projected field at both points; "
+                                  "nothing to decompose")
+    return live
+
+
+def _fano_terms(live: list[tuple], convention: str) -> list[FanoTerm]:
+    """Fano terms of decomposed modes, with the q of a :class:`FanoQParams` field."""
+    return [FanoTerm(label, getattr(fano_q_params(phi_a, phi_b), convention), coefficient)
+            for label, phi_a, phi_b, coefficient in live]
 
 
 def fano_decompose_cdos(pair: QnmPair, a: PolarizedPoint,
@@ -229,14 +220,17 @@ def fano_decompose_cdos(pair: QnmPair, a: PolarizedPoint,
     ``K = -2 |(u_a.E(r_a))(u_b.E(r_b))| / (pi g_m)``, derived in closed form
     (no fitting); the sum over modes reproduces :func:`cdos_qnm` identically.
     """
-    return _decompose(pair, a, b, half_angle=True)
+    return _fano_terms(_decompose(pair, a, b), "q12_halfangle")
 
 
 def reconstruct_cdos(pair: QnmPair, terms: list[FanoTerm], k):
     """Evaluate a Fano-term sum on scalar or array k."""
+    modes = dict(zip("ab", pair.structured_modes()))
     total = 0.0 if np.ndim(k) == 0 else np.zeros(np.shape(k))
     for term in terms:
-        mode = pair.mode(term.label)
+        if term.label not in modes:
+            raise InvalidArgumentError(f"unknown mode label {term.label!r}")
+        mode = modes[term.label]
         total = total + term.coefficient * fano_profile(mode.k_m, mode.gamma_m, term.q, k)
     return total
 
@@ -247,24 +241,21 @@ def mean_q_report(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
 
     Returns max relative deviations for each convention plus whether the two
     point phases coincide per mode (in which case the conventions agree
-    exactly).  Intended for diagnostic output, not assertions.
+    exactly; a mode absent from the decomposition counts as coinciding).
+    Intended for diagnostic output, not assertions.
     """
     k_grid = np.asarray(k_grid, dtype=float)
+    if k_grid.ndim != 1 or k_grid.size == 0:
+        raise InvalidArgumentError("k grid must be a non-empty 1D array")
+    live = _decompose(pair, a, b)
     direct = np.array([cdos_qnm(pair, a, b, float(k)) for k in k_grid])
-    scale = float(np.max(np.abs(direct)))
-    if scale == 0.0:
-        scale = 1.0
-    half = reconstruct_cdos(pair, fano_decompose_cdos(pair, a, b), k_grid)
+    scale = float(np.max(np.abs(direct))) or 1.0
+    half = reconstruct_cdos(pair, _fano_terms(live, "q12_halfangle"), k_grid)
     # same coefficients, arithmetic-mean-of-tangents q (reported, not asserted)
-    mean = reconstruct_cdos(pair, _decompose(pair, a, b, half_angle=False), k_grid)
-    phases_equal = []
-    for _, mode in pair.labeled():
-        try:
-            phases_equal.append(qnm_phase(mode, a) == qnm_phase(mode, b))
-        except UndefinedPhaseError:
-            phases_equal.append(True)  # mode absent from the decomposition
+    mean = reconstruct_cdos(pair, _fano_terms(live, "q12_mean"), k_grid)
+    phases_equal = {label: phi_a == phi_b for label, phi_a, phi_b, _ in live}
     return {
         "max_rel_dev_halfangle": float(np.max(np.abs(half - direct))) / scale,
         "max_rel_dev_mean": float(np.max(np.abs(mean - direct))) / scale,
-        "phases_equal_per_mode": phases_equal,
+        "phases_equal_per_mode": [phases_equal.get(label, True) for label in "ab"],
     }

@@ -189,6 +189,10 @@ def test_spectrum_validation():
         Spectrum(np.array([1.0, 2.0]), np.array([0.5]))  # length mismatch
     with pytest.raises(InvalidArgumentError):
         Spectrum(np.array([]), np.array([]))
+    with pytest.raises(InvalidArgumentError, match="one-dimensional"):
+        Spectrum(np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(InvalidArgumentError, match="must be finite"):
+        Spectrum([1.0, math.inf], [1.0, 2.0])
 
 
 def test_spectrum_accepts_complex_samples():

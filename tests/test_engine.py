@@ -320,6 +320,24 @@ def test_sweep_point_independence():
         assert np.array_equal(curve.extremity_field[1::5], part.extremity_field)
 
 
+def test_rate_engine_never_builds_the_cdos_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the rate engine called cdos_matrix")
+
+    models = (ModeSet((surrogate_l3(),)), _complex_qnm_pair())
+    for owner in (HomogeneousGreens, CompositeGreens, *map(type, models)):
+        monkeypatch.setattr(owner, "cdos_matrix", refuse)
+    src = line_source(Position(0, 0, 0), X, Y, d=300.0, n_elements=31, p=1.0)
+    for model in models:
+        env = CompositeGreens(HomogeneousGreens(1.0), model)
+        k_m = model.structured_modes()[0].k_m
+        assert math.isfinite(decay_rate(src, env, VACUUM, k_m).gamma_ratio)
+        assert math.isfinite(two_dipole_rate(_pp(40.0), _pp(-90.0), 1.0, 0.3, env, k_m))
+        assert len(sweep_spectrum(src, env, VACUUM, [0.999 * k_m, k_m])) == 2
+        assert sweep_length(Position(0, 0, 0), X, Y, [0.0, 300.0], 1.0, env, VACUUM,
+                            k_m).gamma_ratio.shape == (2,)
+
+
 def test_sweep_reports_first_negative_reference_point():
     """A QNM reference whose field carries the phase pi/4 has the LDOS
     Im(i pole)/pi = Re(pole)/pi ~ (k_m - k): it turns negative past k_m."""

@@ -11,6 +11,7 @@ MODULES = ["purcellx"] + [
     f"purcellx.{name}"
     for name in ("cli", "core", "engine", "fields", "homogeneous", "modal", "qnm", "sources")
 ]
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -22,8 +23,7 @@ def test_all_names_resolve(module_name):
 
 def test_bench_trace_hooks_install_and_restore(monkeypatch):
     # the benchmark's tracer wraps package names by owner and attribute; a rename breaks it
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)
     spec.loader.exec_module(spans)
@@ -42,19 +42,36 @@ def test_bench_trace_hooks_install_and_restore(monkeypatch):
     assert all(current(owner, attr) is original for owner, attr, original in patches)
 
 
-@pytest.mark.parametrize("name", ["composite-line-spectrum", "gridfield-qnm-spectrum"])
-def test_bench_cli_workloads_run(tmp_path, monkeypatch, name):
-    # the benchmark's CLI workloads read parse_config, the parsed config and run_scenario
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+def _bench_module(name):
+    """``bench/<name>.py``, loaded by path as the module ``bench_<name>``."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    workloads.generate(name, 7, True, str(tmp_path))
+
+workloads = _bench_module("workloads")
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_bench_workloads_pass_their_checks(tmp_path, monkeypatch, name):
+    # the workloads read parse_config, the parsed config, run_scenario and the library API;
+    # the checks compare two runs with each other, the written files and the bench oracle
+    from purcellx import engine
+
+    monkeypatch.syspath_prepend(str(BENCH))  # checks.py imports oracle.py by name
+    checks = importlib.import_module("checks")
+    record = workloads.generate(name, 7, True, str(tmp_path))
     scenario = workloads.setup(name, str(tmp_path))
+    spectra = []
+    sweep = engine.sweep_spectrum
+
+    def keep(*args):
+        spectra.append(sweep(*args))
+        return spectra[-1]
+
+    monkeypatch.setattr(engine, "sweep_spectrum", keep)
     scenario.run()
-    rows = [line for line in pathlib.Path(scenario.csv_path).read_text().splitlines()
-            if not line.startswith("#")]
-    assert rows[0] == "k,lambda_nm,gamma_ratio"
-    assert len(rows) - 1 == workloads.SIZES[name]["smoke"]["k_count"]
+    scenario.run()
+    assert len(spectra) == 2
+    assert checks.run_checks(record, str(tmp_path), scenario, spectra) == []

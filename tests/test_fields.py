@@ -179,6 +179,10 @@ def test_grid_validation():
         GridField(np.zeros((1, 4, 3), dtype=complex), (0, 0), (1, 1))  # <2 per axis
     with pytest.raises(InvalidArgumentError):
         GridField(np.zeros((4, 4, 3), dtype=complex), (0, 0), (1, -1))
+    with pytest.raises(InvalidArgumentError, match="must have shape"):
+        GridField(np.zeros((3, 3)), (0, 0), (1, 1))
+    with pytest.raises(InvalidArgumentError, match="must have 2 entries"):
+        GridField(np.zeros((2, 2, 3)), (0,), (1, 1))
     bad = np.zeros((2, 2, 3), dtype=complex)
     bad[0, 0, 0] = math.nan
     with pytest.raises(InvalidArgumentError):
@@ -263,10 +267,17 @@ def test_header_errors_carry_line_numbers(tmp_path):
         load_grid_field(path)
     assert "components" in str(err.value)
 
-    path.write_text("origin 0 0\n")
-    with pytest.raises(GridFileError) as err:
-        load_grid_field(path)
-    assert err.value.line == 1
+    for text, line, message in [
+        ("origin 0 0\n", 1, "expected `dims` header"),
+        ("dims 2 2\n", 2, "missing `origin` header line"),
+        ("dims 2 x\n", 1, "bad `dims` value"),
+        ("dims 2\n", 1, "2 or 3 axes"),
+        ("dims 2 2\norigin 0 0 0\nspacing 1 1\ncomponents 3\n", 2, "axis count must match"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(GridFileError, match=message) as err:
+            load_grid_field(path)
+        assert err.value.line == line
 
     path.write_text("dims 2 2\norigin 0 0\nspacing 1 1\ncomponents 3\n0 0 0 0 0 0\n")
     with pytest.raises(GridFileError) as err:

@@ -69,6 +69,9 @@ def _model(rng, model, field_kinds):
     k_m = rng.uniform(0.004, 0.006)
     if model == "homogeneous":
         return HomogeneousGreens(rng.uniform(1.0, 3.5)), k_m, k_m / 50.0
+    if model == "composite":
+        structured, k_m, gamma = _model(rng, rng.choice(["modes", "qnm"]), field_kinds)
+        return CompositeGreens(HomogeneousGreens(rng.uniform(1.0, 3.5)), structured), k_m, gamma
     gammas = k_m / rng.uniform(100.0, 2000.0, size=2)
     if model == "modes":
         modes = [LossyMode(_field(rng, kind), k_m * (1.0 + 0.01 * j), gammas[j])
@@ -108,7 +111,7 @@ def _dense_form(rho, weights):
 
 
 @given(
-    model=st.sampled_from(["homogeneous", "modes", "qnm"]),
+    model=st.sampled_from(["homogeneous", "modes", "qnm", "composite"]),
     field_kinds=st.sampled_from([("surrogate", "surrogate"), ("grid", "surrogate"),
                                  ("grid", "grid")]),
     count=st.integers(min_value=1, max_value=7),
@@ -310,11 +313,7 @@ def test_homogeneous_forms_memory_on_a_100x100_slab():
 )
 def test_two_point_cdos_is_the_cdos_matrix_entry(model, seed):
     rng = np.random.default_rng(seed)
-    if model == "composite":
-        structured, k_m, gamma = _model(rng, "modes", ("surrogate", "grid"))
-        env = CompositeGreens(HomogeneousGreens(rng.uniform(1.0, 3.5)), structured)
-    else:
-        env, k_m, gamma = _model(rng, model, ("surrogate", "grid"))
+    env, k_m, gamma = _model(rng, model, ("surrogate", "grid"))
     positions = np.column_stack([rng.uniform(-300.0, 300.0, 2), rng.uniform(-200.0, 200.0, 2),
                                  rng.uniform(-50.0, 50.0, 2)])
     orientations = rng.normal(size=(2, 3))

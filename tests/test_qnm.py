@@ -10,6 +10,7 @@ from purcellx import (
     AnalyticSurrogate,
     AnalyticSurrogateParams,
     FanoTerm,
+    InvalidArgumentError,
     LossyMode,
     ModeSet,
     Orientation,
@@ -247,7 +248,7 @@ def test_mean_q_report_agrees_when_phases_equal():
     b = _point(90.0)  # same lobe, same phase
     ks = np.linspace(pair.qnm_a.k_m - 1e-4, pair.qnm_a.k_m + 1e-4, 150)
     report = mean_q_report(pair, a, b, ks)
-    assert report["phases_equal_per_mode"][0]
+    assert report["phases_equal_per_mode"] == [True, True]  # mode b is dead
     assert report["max_rel_dev_mean"] < 1e-9
     assert report["max_rel_dev_halfangle"] < 1e-9
 
@@ -259,7 +260,7 @@ def test_mean_q_report_flags_disagreement():
     b = _point(320.0)
     ks = np.linspace(pair.qnm_a.k_m - 1e-4, pair.qnm_a.k_m + 1e-4, 150)
     report = mean_q_report(pair, a, b, ks)
-    assert not report["phases_equal_per_mode"][0]
+    assert report["phases_equal_per_mode"] == [False, True]  # mode b is dead
     assert report["max_rel_dev_halfangle"] < 1e-9
     assert report["max_rel_dev_mean"] > 1e-2
 
@@ -331,6 +332,16 @@ def test_modal_qnm_high_q_consistency():
 def test_fano_term_validation():
     with pytest.raises(Exception):
         FanoTerm("a", 0.0, math.nan)
+
+
+def test_fano_tools_reject_bad_input():
+    pair = _single_qnm_pair()
+    p = _point(40.0)
+    with pytest.raises(InvalidArgumentError, match="unknown mode label 'c'"):
+        reconstruct_cdos(pair, [FanoTerm("c", 0.0, 1.0)], np.array([0.005]))
+    for k_grid in (np.array([]), np.full((2, 3), 0.005)):
+        with pytest.raises(InvalidArgumentError, match="k grid must be a non-empty 1D array"):
+            mean_q_report(pair, p, p, k_grid)
 
 
 def test_qnm_does_not_warn_at_high_loss_and_never_equals_a_lossy_mode():

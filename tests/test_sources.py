@@ -35,6 +35,7 @@ def test_point_source_basic():
     assert len(src) == 1
     assert src.elements[0].weight == 1.0 + 0.0j
     assert src.reference == p.position
+    assert (src == 5) is False
 
 
 def test_point_source_preserves_complex_amplitude():
@@ -123,6 +124,13 @@ def test_sampling_grid_rejects_non_integral_shape():
         SamplingGrid(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 0.0), shape=(2, 0, 1))
     with pytest.raises(InvalidArgumentError, match="grid shape"):
         SamplingGrid(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 0.0), shape=(True, 1, 1))
+
+
+def test_sampling_grid_rejects_bad_corners():
+    with pytest.raises(InvalidArgumentError, match="needs 3 entries"):
+        SamplingGrid(lo=(0.0, 0.0), hi=(1.0, 1.0, 1.0), shape=(1, 1, 1))
+    with pytest.raises(InvalidArgumentError, match="must not be below"):
+        SamplingGrid(lo=(1.0, 0.0, 0.0), hi=(0.0, 1.0, 1.0), shape=(1, 1, 1))
 
 
 def test_sampling_grid_rejects_stacked_cells_on_a_flat_axis():
