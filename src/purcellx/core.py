@@ -94,8 +94,17 @@ def _require_at_least(name: str, value, minimum: float) -> None:
 
 
 def _require_k(k) -> None:
-    """Raise unless the wavenumber ``k`` (a float or an array of them) is finite and positive."""
-    for value in np.ravel(k):
+    """Raise unless the wavenumber ``k`` (a float or an array of them) is finite and positive.
+
+    A real array is checked at once; otherwise, or when that check fails, the
+    values are checked one by one, so the first bad one is named.
+    """
+    values = np.ravel(k)
+    if values.dtype.kind in "fiu":
+        as_float = values.astype(float, copy=False)
+        if np.all(np.isfinite(as_float) & (as_float > 0.0)):
+            return
+    for value in values:
         _require_positive("wavenumber", float(value))
 
 

@@ -15,6 +15,10 @@ background.
 A sweep asks each distinct model part once for its ``forms``, the values
 ``w^H rho(k) w`` over the whole k grid.  No value depends on the other
 points of the grid, so a sweep agrees bitwise with :func:`decay_rate`.
+:func:`coherence_classification` takes its coherent sum the same way and its
+incoherent sum from each model's per-point LDOS, ``ldos_many``.  No function
+here builds the M x M ``cdos_matrix``: a homogeneous sum costs its terms
+(lags or pairs) x K in blocks of bounded size, and a pole sum modes x (M + K).
 """
 
 from __future__ import annotations
@@ -59,15 +63,22 @@ __all__ = [
 
 
 class GreensModel(Protocol):
-    """Contract every environment model satisfies."""
+    """Contract every environment model satisfies.
+
+    ``ldos_many`` is the projected LDOS ``rho(P_i, P_i, k)`` at each of M
+    polarized points, shape (M,), and ``forms`` the values ``w^H rho(k) w`` of
+    a source at each k of a grid, shape (K,).  Neither builds the M x M CDOS
+    matrix; the kernel models keep a ``cdos_matrix`` as their two-point kernel
+    and the oracle of both.
+    """
 
     @property
     def background_index(self) -> float: ...
 
     def structured_modes(self) -> tuple: ...
 
-    def cdos_matrix(self, positions: np.ndarray, orientations: np.ndarray,
-                    k: Wavenumber) -> np.ndarray: ...
+    def ldos_many(self, positions: np.ndarray, orientations: np.ndarray,
+                  k: Wavenumber) -> np.ndarray: ...
 
     def forms(self, src: ExtendedSource, k_grid) -> np.ndarray: ...
 
@@ -99,6 +110,11 @@ class CompositeGreens:
                     k: Wavenumber) -> np.ndarray:
         return self.background.cdos_matrix(positions, orientations, k) + \
             self.structured.cdos_matrix(positions, orientations, k)
+
+    def ldos_many(self, positions: np.ndarray, orientations: np.ndarray,
+                  k: Wavenumber) -> np.ndarray:
+        return self.background.ldos_many(positions, orientations, k) + \
+            self.structured.ldos_many(positions, orientations, k)
 
     def forms(self, src: ExtendedSource, k_grid) -> np.ndarray:
         """The background's forms plus the structured part's; a sweep asks each part itself."""
@@ -280,14 +296,16 @@ def coherence_classification(src: ExtendedSource, env: GreensModel,
     """Ratio of the coherent rate to the incoherent (diagonal-only) rate.
 
     beta > 1 marks superradiance, beta < 1 subradiance, beta = 1 a point
-    source or perfectly uncorrelated geometry.
+    source or perfectly uncorrelated geometry.  The incoherent rate
+    ``sum_i |w_i|^2 rho_ii`` costs O(M) and the coherent one a single-k
+    :func:`decay_rate` numerator.
     """
     weights = src.weights_array()
-    rho = env.cdos_matrix(src.positions_array(), src.orientations_array(), k)
-    coherent = float(np.einsum("i,ij,j->", weights.conjugate(), rho, weights).real)
-    incoherent = float(np.sum((weights.conjugate() * weights).real * np.diag(rho)))
+    ldos = env.ldos_many(src.positions_array(), src.orientations_array(), k)
+    incoherent = float(np.sum((weights.conjugate() * weights).real * ldos))
     if not (incoherent >= 1e-300):
         raise DegenerateReferenceError(
             f"incoherent rate is {incoherent!r}; classification undefined"
         )
-    return coherent / incoherent
+    (coherent,) = _double_sums(src, np.array([k], dtype=float), env)
+    return float(coherent[0]) / incoherent

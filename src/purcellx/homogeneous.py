@@ -64,6 +64,10 @@ _B_INNER_COEFFS = (
 #: factor to full precision in doubles.
 TAYLOR_SWITCH = 0.25
 
+#: Elements in one block of terms x wavenumbers: every k-dependent temporary of
+#: a source's forms holds at most this many (64 kB of float64), whatever M or K.
+_BLOCK = 8192
+
 
 def _horner(coeffs, x2):
     acc = coeffs[-1] * (x2 * 0 + 1.0)  # keeps scalar/array polymorphism
@@ -133,32 +137,46 @@ class HomogeneousGreens:
         which halves the work and makes the matrix symmetric by construction.
         """
         _require_k(k)
-        iu, ju, *geometry = _pair_geometry(positions, orientations)
-        vals = _pair_values(self.n, k, *geometry)
         m = positions.shape[0]
+        iu, ju = np.triu_indices(m)
+        vals = _pair_values(self.n, k, *_pair_geometry(positions, orientations, iu, ju))
         out = np.empty((m, m), dtype=float)
         out[iu, ju] = vals
         out[ju, iu] = vals
         return out
+
+    def ldos_many(self, positions: np.ndarray, orientations: np.ndarray,
+                  k: Wavenumber) -> np.ndarray:
+        """The projected LDOS at each of M polarized points, shape (M,): the diagonal
+        of :meth:`cdos_matrix` in O(M)."""
+        _require_k(k)
+        zeros = np.zeros(positions.shape[0])
+        return _pair_values(self.n, k, zeros, np.einsum("ij,ij->i", orientations, orientations),
+                            zeros)
 
     def forms(self, src: ExtendedSource, k_grid) -> np.ndarray:
         """The values ``w^H rho(k) w`` of a source over a wavenumber grid.
 
         The k-free terms are built once: over the lags of a lattice source
         (:func:`_lag_terms`), or over its pairs (:func:`_pair_terms`) when the
-        source has no lattice or has fewer pairs than lags.  A k then costs the
-        radial factors and one sum.
+        source has no lattice or has fewer pairs than lags.  The terms then
+        cost the radial factors and one sum per k, taken in blocks of at most
+        ``_BLOCK`` elements (:func:`_blocked_sums`), so memory does not grow
+        with the grid.  A k's value does not depend on the other points of the
+        grid.
         """
         k_grid = np.asarray(k_grid, dtype=float)
         _require_k(k_grid)
         m = len(src)
         lattice = src._lattice
         if lattice is not None and np.prod(2 * np.ptp(lattice[1], axis=0) + 1) <= m * (m + 1) // 2:
-            terms = _lag_terms(*lattice, src.orientations_array(), src.weights_array())
+            r, alpha, beta = _lag_terms(*lattice, src.orientations_array(), src.weights_array())
+            chunks = ((r[s:s + _BLOCK], alpha[s:s + _BLOCK], beta[s:s + _BLOCK])
+                      for s in range(0, r.size, _BLOCK))
         else:
-            terms = _pair_terms(src.positions_array(), src.orientations_array(),
-                                src.weights_array())
-        return np.array([_pair_values(self.n, k, *terms).sum() for k in k_grid])
+            chunks = _pair_terms(src.positions_array(), src.orientations_array(),
+                                 src.weights_array())
+        return _blocked_sums(self.n, k_grid, chunks)
 
 
 def _separations(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,25 +185,34 @@ def _separations(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, np.where(r[:, None] > 0.0, d / np.where(r == 0.0, 1.0, r)[:, None], 0.0)
 
 
-def _pair_geometry(positions: np.ndarray, orientations: np.ndarray):
-    """Pairs i <= j of M polarized points: i, j, r, u_i.u_j and (u_i.R^)(u_j.R^)."""
-    iu, ju = np.triu_indices(positions.shape[0])
+def _pair_geometry(positions: np.ndarray, orientations: np.ndarray, iu: np.ndarray,
+                   ju: np.ndarray):
+    """Pairs (i, j) of polarized points: r, u_i.u_j and (u_i.R^)(u_j.R^)."""
     r, unit = _separations(positions[ju] - positions[iu])
-    uu = np.einsum("ij,ij->i", orientations[iu], orientations[ju])
-    ua_r = np.einsum("ij,ij->i", orientations[iu], unit)
-    return iu, ju, r, uu, ua_r * np.einsum("ij,ij->i", orientations[ju], unit)
+    ui, uj = orientations[iu], orientations[ju]
+    return (r, np.einsum("ij,ij->i", ui, uj),
+            np.einsum("ij,ij->i", ui, unit) * np.einsum("ij,ij->i", uj, unit))
 
 
 def _pair_terms(positions: np.ndarray, orientations: np.ndarray, weights: np.ndarray):
-    """``(r, alpha, beta)`` over the pairs i <= j of a weighted source.
+    """``(r, alpha, beta)`` over the pairs i <= j of a weighted source, in chunks.
 
     ``alpha`` and ``beta`` are ``u_i.u_j`` and ``(u_i.R^)(u_j.R^)`` times
     ``(2 - delta_ij) Re(conj(w_i) w_j)``: an off-diagonal pair stands for both
-    (i, j) and (j, i) of the Hermitian sum.
+    (i, j) and (j, i) of the Hermitian sum.  The pairs come in the row order of
+    ``np.triu_indices``, ``_BLOCK`` at a time, so no array holds all M(M+1)/2.
     """
-    iu, ju, r, uu, urur = _pair_geometry(positions, orientations)
-    c = np.where(iu == ju, 1.0, 2.0) * (weights[iu].conjugate() * weights[ju]).real
-    return r, uu * c, urur * c
+    m = positions.shape[0]
+    pairs = m * (m + 1) // 2
+    # the triangle's row i starts at pair number starts[i]
+    starts = np.concatenate(([0], np.cumsum(np.arange(m, 0, -1))))
+    for first in range(0, pairs, _BLOCK):
+        t = np.arange(first, min(first + _BLOCK, pairs))
+        iu = np.searchsorted(starts, t, side="right") - 1
+        ju = iu + (t - starts[iu])
+        r, uu, urur = _pair_geometry(positions, orientations, iu, ju)
+        c = np.where(iu == ju, 1.0, 2.0) * (weights[iu].conjugate() * weights[ju]).real
+        yield r, uu * c, urur * c
 
 
 def _fast_length(m: int) -> int:
@@ -253,6 +280,23 @@ def _pair_values(n: float, k: Wavenumber, r, alpha, beta) -> np.ndarray:
     kappa = n * k
     fa, fb = _factors_array(kappa * r)
     return (2.0 * k / math.pi) * (kappa / (4.0 * math.pi)) * (fa * alpha + fb * beta)
+
+
+def _blocked_sums(n: float, k_grid: np.ndarray, chunks) -> np.ndarray:
+    """``sum_t`` of the pair values of the term ``chunks`` at each k of ``k_grid``.
+
+    A chunk of at most ``_BLOCK`` terms is evaluated on ``max(1, _BLOCK // terms)``
+    wavenumbers at once and summed along its terms, the contiguous last axis,
+    so a k's sum over a chunk is bitwise the 1-D sum of that chunk at that k.
+    """
+    ks = k_grid[:, None]
+    total = None
+    for r, alpha, beta in chunks:
+        rows = max(1, _BLOCK // r.size)
+        sums = np.concatenate([_pair_values(n, ks[s:s + rows], r, alpha, beta).sum(axis=1)
+                               for s in range(0, k_grid.size, rows)])
+        total = sums if total is None else total + sums
+    return total
 
 
 cdos = _two_point

@@ -2,9 +2,10 @@
 and the one pole-expansion model they share with the two-QNM model.
 
 A pole model sums resonance poles ``1/(k_m - i*gamma_m/2 - k)``, weighted
-by the mode field projected on the two dipoles; its CDOS matrix and source
-forms are written once (:func:`_pole_matrix`, :func:`_pole_forms`), and a
-model class fixes only its modes and its two field products:
+by the mode field projected on the two dipoles; its CDOS matrix, the
+matrix's diagonal and its source forms are written once
+(:func:`_pole_matrix`, :func:`_pole_ldos`, :func:`_pole_forms`), and a model
+class fixes only its modes and its two field products:
 
 * a lossy mode takes the Lorentzian ``(1/pi) Im(pole)`` times the real part
   of ``v_a conj(v_b)``; this is the low-loss limit of an open-resonator
@@ -92,20 +93,23 @@ class LossyMode(_PoleMode):
         return self.gamma_m > self.k_m / 10.0
 
 
-def _pole_sum(modes, positions: np.ndarray, orientations: np.ndarray, k, product,
-              weights: np.ndarray | None = None):
+def _outer(v: np.ndarray):
+    return v[:, None], v
+
+
+def _pole_sum(modes, positions: np.ndarray, orientations: np.ndarray, k, product, pair=_outer):
     """Pole expansion: ``sum_m product(x_m, y_m, 1/(k_m - i g_m/2 - k))``.
 
-    With ``v_m`` mode m's field on the M polarized points, ``x_m y_m`` is the
-    (M, M) outer product ``v_m v_m^T``.  Given source weights ``w``, ``x_m =
-    w^H v_m`` and ``y_m = v_m^T w`` instead, and over a k grid the sum is
-    ``w^H rho(k) w``.  The model class chooses the product.
+    With ``v_m`` mode m's field on the M polarized points, ``pair(v_m)`` is
+    ``(x_m, y_m)``: by default the (M, M) outer product ``v_m v_m^T``, and
+    ``(v_m, v_m)`` for its diagonal.  Given source weights ``w``, ``x_m = w^H
+    v_m`` and ``y_m = v_m^T w`` instead, and over a k grid the sum is ``w^H
+    rho(k) w``.  The model class chooses the product.
     """
     _require_k(k)
     total = 0.0
     for mode in modes:
-        v = projected_field_many(mode.field, positions, orientations)
-        x, y = (v[:, None], v) if weights is None else (np.vdot(weights, v), v @ weights)
+        x, y = pair(projected_field_many(mode.field, positions, orientations))
         total = total + product(x, y, 1.0 / (complex(mode.k_m, -0.5 * mode.gamma_m) - k))
     return total
 
@@ -116,10 +120,23 @@ def _pole_matrix(model, positions: np.ndarray, orientations: np.ndarray,
     return _pole_sum(model.structured_modes(), positions, orientations, k, model._product)
 
 
+def _pole_ldos(model, positions: np.ndarray, orientations: np.ndarray,
+               k: Wavenumber) -> np.ndarray:
+    """The diagonal of :func:`_pole_matrix` in O(M): the projected LDOS at each point."""
+    return _pole_sum(model.structured_modes(), positions, orientations, k, model._product,
+                     lambda v: (v, v))
+
+
 def _pole_forms(model, src: ExtendedSource, k_grid) -> np.ndarray:
-    """The values ``w^H rho(k) w`` of a source over a wavenumber grid."""
+    """The values ``w^H rho(k) w`` of a source over a wavenumber grid.
+
+    Each mode's field is projected on the source once; the grid then costs
+    one pole per mode and k, with no M x M array.
+    """
+    w = src.weights_array()
     return _pole_sum(model.structured_modes(), src.positions_array(), src.orientations_array(),
-                     np.asarray(k_grid, dtype=float), model._form, src.weights_array())
+                     np.asarray(k_grid, dtype=float), model._form,
+                     lambda v: (np.vdot(w, v), v @ w))
 
 
 @dataclass(frozen=True)
@@ -154,6 +171,7 @@ class ModeSet:
 
     cdos = _two_point
     cdos_matrix = _pole_matrix
+    ldos_many = _pole_ldos
     forms = _pole_forms
 
 

@@ -33,7 +33,7 @@ from .core import (
     _two_point,
 )
 from .fields import projected_field, projected_field_many
-from .modal import _PoleMode, _pole_forms, _pole_matrix, _pole_sum
+from .modal import _PoleMode, _pole_forms, _pole_ldos, _pole_matrix, _pole_sum
 
 __all__ = [
     "Qnm",
@@ -86,6 +86,7 @@ class QnmPair:
     _form = _product
     cdos = _two_point
     cdos_matrix = _pole_matrix
+    ldos_many = _pole_ldos
     forms = _pole_forms
 
 

@@ -25,6 +25,7 @@ from purcellx import (
     RateResult,
     SamplingGrid,
     Spectrum,
+    coherence_classification,
     default_element_count,
     fano_profile,
     free_space_ldos,
@@ -64,6 +65,10 @@ POSITIVE_ARGUMENTS = {
     "two_dipole_rate": ("pair amplitude",
                         lambda v: two_dipole_rate(_A, _B, v, 0.0, HomogeneousGreens(1.0), 0.01)),
     "line_source": ("cluster amplitude", lambda v: line_source(_ORIGIN, Y, Y, 100.0, 5, v)),
+    "coherence_classification": ("wavenumber", lambda v: coherence_classification(
+        pair_source(_A, _B, 1.0, 0.0), CompositeGreens(HomogeneousGreens(1.0),
+                                                       ModeSet((LossyMode(_FIELD, 0.005, 1e-5),))),
+        v)),
 }
 
 #: Every argument checked as finite: (argument name, call with value v, takes complex values).

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,6 +337,7 @@ def test_rate_engine_never_builds_the_cdos_matrix(monkeypatch):
         assert len(sweep_spectrum(src, env, VACUUM, [0.999 * k_m, k_m])) == 2
         assert sweep_length(Position(0, 0, 0), X, Y, [0.0, 300.0], 1.0, env, VACUUM,
                             k_m).gamma_ratio.shape == (2,)
+        assert math.isfinite(coherence_classification(src, env, 0.9 * k_m))
 
 
 def test_sweep_reports_first_negative_reference_point():
@@ -449,10 +451,27 @@ def test_coherence_classification_rejects_source_at_a_mode_node():
         coherence_classification(node, env, env.modes[0].k_m)
 
 
+def test_coherence_classification_memory_on_a_3000_element_line():
+    # the dense 3000 x 3000 kernel alone would take 72 MB
+    src = line_source(Position(0, 0, 0), X, Y, d=3000.0, n_elements=3000, p=1.0)
+    env = CompositeGreens(HomogeneousGreens(1.0), ModeSet((surrogate_l3(),)))
+    tracemalloc.start()
+    try:
+        beta = coherence_classification(src, env, surrogate_l3().k_m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(beta)
+    assert peak < 16 * 2**20
+
+
 def test_coherence_classification_rejects_nan_diagonal():
     class NanKernel:
-        def cdos_matrix(self, positions, orientations, k):
-            return np.full((positions.shape[0],) * 2, math.nan)
+        def ldos_many(self, positions, orientations, k):
+            return np.full(positions.shape[0], math.nan)
+
+        def forms(self, src, k_grid):
+            return np.full(len(k_grid), math.nan)
 
     with pytest.raises(DegenerateReferenceError, match="incoherent rate"):
         coherence_classification(point_source(_pp(0.0)), NanKernel(), 0.005)

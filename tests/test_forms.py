@@ -8,7 +8,10 @@ structured sum nearly cancels.
 
 Sources built by hand take the homogeneous pair path; sources from the
 builders sit on a lattice and take the lag path, which is checked both
-through ``forms`` and directly.
+through ``forms`` and directly.  Both paths evaluate blocks of at most
+``_BLOCK`` elements: the blocks must not show in the values, and memory must
+not grow with the pair count or the grid.  ``coherence_classification`` is
+checked against the coherent and diagonal sums of the same dense matrix.
 """
 
 import bisect
@@ -23,6 +26,7 @@ from purcellx import (
     AnalyticSurrogate,
     AnalyticSurrogateParams,
     CompositeGreens,
+    DegenerateReferenceError,
     DipoleElement,
     ExtendedSource,
     GridField,
@@ -38,12 +42,13 @@ from purcellx import (
     cdos,
     cdos_modal,
     cdos_qnm,
+    coherence_classification,
     line_source,
     pair_source,
     point_source,
     sampled_source,
 )
-from purcellx.homogeneous import _fast_length, _lag_terms, _pair_values
+from purcellx.homogeneous import _BLOCK, _fast_length, _lag_terms, _pair_values
 
 #: Grid-field domain: x in [-300, 300], y in [-200, 200] nm.
 GRID_ORIGIN = (-300.0, -200.0)
@@ -324,3 +329,116 @@ def test_two_point_cdos_is_the_cdos_matrix_entry(model, seed):
     assert cdos is cdos_modal is cdos_qnm is type(env).cdos
     expected = env.cdos_matrix(positions, orientations, k)[0, 1]
     assert env.cdos(a, b, k) == cdos(env, a, b, k) == expected
+
+
+def _peak_bytes(call):
+    """The ``tracemalloc`` peak of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def _random_hand_built(rng, count):
+    positions = rng.uniform(-300.0, 300.0, (count, 3))
+    orientations = _unit_vectors(rng, count)
+    weights = rng.normal(size=count) + 1j * rng.normal(size=count)
+    return _hand_built(positions, orientations, weights)
+
+
+def test_blocks_cannot_be_seen_in_the_forms():
+    # 150 elements: 299 lags, which do not divide _BLOCK, so a block holds 27 k
+    line = line_source(Position(10.0, -5.0, 3.0), Orientation.from_vector(1.0, 0.2, 0.1),
+                       Orientation.from_vector(0.3, 1.0, -0.4), 420.0, 150, 1.3)
+    assert _BLOCK % 299 != 0
+    env = HomogeneousGreens(1.6)
+    ks = np.linspace(0.002, 0.03, 3 * (_BLOCK // 299) + 5)  # four blocks, the last partial
+    full = env.forms(line, ks)
+    single = np.array([env.forms(line, [k])[0] for k in ks])
+    assert full.tobytes() == single.tobytes()
+    assert full[2::5].tobytes() == env.forms(line, ks[2::5]).tobytes()
+    assert full[:1].tobytes() == env.forms(line, ks[:1]).tobytes()
+
+
+def test_pair_path_beyond_one_block_matches_dense_sum():
+    # 130 elements: 8,515 pairs, two chunks of the triangle
+    rng = np.random.default_rng(130)
+    src = _random_hand_built(rng, 130)
+    assert src._lattice is None and 130 * 131 // 2 > _BLOCK
+    positions, orientations, weights = (src.positions_array(), src.orientations_array(),
+                                        src.weights_array())
+    env = HomogeneousGreens(1.4)
+    k_grid = np.sort(rng.uniform(0.001, 0.03, 5))
+    for k, got in zip(k_grid, env.forms(src, k_grid)):
+        terms = weights.conjugate()[:, None] * weights * env.cdos_matrix(positions, orientations,
+                                                                          k)
+        assert abs(got - terms.real.sum()) <= 1e-12 * np.abs(terms).sum()
+
+
+def test_lag_path_beyond_one_block_matches_one_sum():
+    # 4,200 elements: 8,399 lags, sliced into two chunks
+    line = line_source(Position(0.0, 0.0, 0.0), Orientation.from_vector(1.0, 0.5, 0.0),
+                       Orientation.from_vector(0.2, 1.0, 0.7), 6000.0, 4200, 1.0)
+    lags = _lag_terms(*line._lattice, line.orientations_array(), line.weights_array())
+    assert lags[0].size > _BLOCK
+    env = HomogeneousGreens(1.2)
+    k_grid = np.linspace(0.001, 0.02, 3)
+    for k, got in zip(k_grid, env.forms(line, k_grid)):
+        values = _pair_values(env.n, k, *lags)
+        assert abs(got - values.sum()) <= 1e-12 * np.abs(values).sum()
+
+
+def test_pair_path_memory_at_2000_elements():
+    # the whole triangle would be 2,001,000 pairs, 16 MB in each float64 array
+    src = _random_hand_built(np.random.default_rng(2000), 2000)
+    k_grid = np.linspace(0.004, 0.006, 5)
+    assert _peak_bytes(lambda: HomogeneousGreens(1.0).forms(src, k_grid)) < 16 * 2**20
+
+
+def test_forms_memory_does_not_grow_with_the_grid():
+    line = line_source(Position(0.0, 0.0, 0.0), Orientation(1.0, 0.0, 0.0),
+                       Orientation(0.0, 1.0, 0.0), 300.0, 200, 1.0)
+    env = HomogeneousGreens(1.0)
+    coarse, fine = np.linspace(0.004, 0.006, 201), np.linspace(0.004, 0.006, 20_001)
+    # at K = 20,001 the (K,) arrays of sums take 160 kB each; one (K, lags) block, 64 MB
+    assert _peak_bytes(lambda: env.forms(line, fine)) - \
+        _peak_bytes(lambda: env.forms(line, coarse)) < 2**20
+
+
+def _coherence_oracle(env, src, k):
+    """Coherent and diagonal sums of ``conj(w_i) w_j rho_ij`` over the dense CDOS matrix."""
+    w = src.weights_array()
+    rho = env.cdos_matrix(src.positions_array(), src.orientations_array(), k)
+    terms = w.conjugate()[:, None] * w * rho
+    return terms.real.sum(), np.abs(terms).sum(), float(np.sum((w.conjugate() * w).real
+                                                                * np.diag(rho)))
+
+
+@given(
+    model=st.sampled_from(["homogeneous", "modes", "qnm", "composite"]),
+    field_kinds=st.sampled_from([("surrogate", "surrogate"), ("grid", "surrogate"),
+                                 ("grid", "grid")]),
+    count=st.integers(min_value=1, max_value=7),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_coherence_classification_matches_dense_sums(model, field_kinds, count, seed):
+    rng = np.random.default_rng(seed)
+    env, k_m, gamma = _model(rng, model, field_kinds)
+    positions = np.column_stack([rng.uniform(-300.0, 300.0, count),
+                                 rng.uniform(-200.0, 200.0, count),
+                                 rng.uniform(-50.0, 50.0, count)])
+    src = _hand_built(positions, _unit_vectors(rng, count),
+                      rng.normal(size=count) + 1j * rng.normal(size=count))
+    k = k_m + gamma * rng.uniform(-5.0, 5.0)
+    coherent, scale, incoherent = _coherence_oracle(env, src, k)
+    if not incoherent >= 1e-300:  # a two-QNM diagonal can be negative
+        with pytest.raises(DegenerateReferenceError, match="incoherent rate"):
+            coherence_classification(src, env, k)
+        return
+    got = coherence_classification(src, env, k)
+    # the per-element LDOS agrees with the matrix diagonal to rounding, not bitwise
+    assert abs(got - coherent / incoherent) <= \
+        1e-12 * scale / incoherent * (1.0 + abs(coherent) / incoherent)
