@@ -281,6 +281,8 @@ def parse_config(path: str) -> ScenarioConfig:
     scenario = _req(data, "scenario", "")
     if not isinstance(scenario, str) or not scenario:
         raise ConfigError("scenario", "must be a non-empty string")
+    if scenario in (".", "..") or "/" in scenario or "\\" in scenario:
+        raise ConfigError("scenario", f"must name files in --out, not a path: {scenario!r}")
 
     base_dir = os.path.dirname(os.path.abspath(path))
     environment = _environment(_req(data, "environment", ""), "environment", base_dir)

@@ -1,19 +1,24 @@
 """Structured environments built from a discrete set of lossy eigenmodes,
 and the one pole-expansion model they share with the two-QNM model.
 
-A pole model sums resonance poles ``1/(k_m - i*gamma_m/2 - k)``, weighted
-by the mode field projected on the two dipoles; its CDOS matrix, the
-matrix's diagonal and its source forms are written once
-(:func:`_pole_matrix`, :func:`_pole_ldos`, :func:`_pole_forms`), and a model
-class fixes only its modes and its two field products:
+A pole model is the complex sum ``S = sum_m Z_m / (k_m - i*gamma_m/2 - k)``
+over its modes, and every quantity it gives is ``Im(S)/pi``.  The weight
+``Z_m`` comes from mode m's field projected on the points, and is the one
+thing a model class states, once in its body: ``_cross(x, y)`` between the
+fields ``x``, ``y`` at two points, and ``_form(x, y)`` for a source's
+``w^H rho w`` given ``x = w^H v``, ``y = v^T w``.  The sum itself is written
+once (:func:`_pole_sum`), and so are the CDOS matrix, its diagonal and the
+source forms built on it (:func:`_pole_matrix`, :func:`_pole_ldos`,
+:func:`_pole_forms`):
 
-* a lossy mode takes the Lorentzian ``(1/pi) Im(pole)`` times the real part
-  of ``v_a conj(v_b)``; this is the low-loss limit of an open-resonator
-  expansion, and the constructor warns when the damping rate is large
-  enough (gamma > k_m/10) that the limit becomes questionable, but does
-  not forbid it;
-* a quasinormal mode (:mod:`purcellx.qnm`) takes ``(1/pi) Im(pole v_a v_b)``
-  with no conjugation.
+* a lossy mode (:class:`ModeSet`) weighs its pole by the real
+  ``Re(x conj(y))``, and a source by ``(|x|^2 + |y|^2)/2``, so each line is
+  the Lorentzian ``Im(pole)/pi`` times the weight; this is the low-loss
+  limit of an open-resonator expansion, and the constructor warns when the
+  damping rate is large enough (gamma > k_m/10) that the limit becomes
+  questionable, but does not forbid it;
+* a quasinormal mode (:class:`purcellx.qnm.QnmPair`) weighs both by the
+  unconjugated ``x y``, whose phase gives Fano lineshapes.
 
 The two coincide for real fields.
 
@@ -97,34 +102,34 @@ def _outer(v: np.ndarray):
     return v[:, None], v
 
 
-def _pole_sum(modes, positions: np.ndarray, orientations: np.ndarray, k, product, pair=_outer):
-    """Pole expansion: ``sum_m product(x_m, y_m, 1/(k_m - i g_m/2 - k))``.
+def _pole_sum(model, positions: np.ndarray, orientations: np.ndarray, k, weight, pair=_outer):
+    """Pole expansion: the complex ``sum_m weight(x_m, y_m) / (k_m - i g_m/2 - k)``.
 
     With ``v_m`` mode m's field on the M polarized points, ``pair(v_m)`` is
     ``(x_m, y_m)``: by default the (M, M) outer product ``v_m v_m^T``, and
     ``(v_m, v_m)`` for its diagonal.  Given source weights ``w``, ``x_m = w^H
-    v_m`` and ``y_m = v_m^T w`` instead, and over a k grid the sum is ``w^H
-    rho(k) w``.  The model class chooses the product.
+    v_m`` and ``y_m = v_m^T w`` instead, and over a k grid ``Im(sum)/pi`` is
+    ``w^H rho(k) w``.  The model class states the weight.
     """
     _require_k(k)
     total = 0.0
-    for mode in modes:
+    for mode in model.structured_modes():
         x, y = pair(projected_field_many(mode.field, positions, orientations))
-        total = total + product(x, y, 1.0 / (complex(mode.k_m, -0.5 * mode.gamma_m) - k))
+        total = total + weight(x, y) * (1.0 / (complex(mode.k_m, -0.5 * mode.gamma_m) - k))
     return total
 
 
 def _pole_matrix(model, positions: np.ndarray, orientations: np.ndarray,
                  k: Wavenumber) -> np.ndarray:
     """The (M, M) CDOS matrix of a pole model over M polarized points."""
-    return _pole_sum(model.structured_modes(), positions, orientations, k, model._product)
+    return _pole_sum(model, positions, orientations, k, model._cross).imag / math.pi
 
 
 def _pole_ldos(model, positions: np.ndarray, orientations: np.ndarray,
                k: Wavenumber) -> np.ndarray:
     """The diagonal of :func:`_pole_matrix` in O(M): the projected LDOS at each point."""
-    return _pole_sum(model.structured_modes(), positions, orientations, k, model._product,
-                     lambda v: (v, v))
+    diagonal = _pole_sum(model, positions, orientations, k, model._cross, lambda v: (v, v))
+    return diagonal.imag / math.pi
 
 
 def _pole_forms(model, src: ExtendedSource, k_grid) -> np.ndarray:
@@ -134,9 +139,9 @@ def _pole_forms(model, src: ExtendedSource, k_grid) -> np.ndarray:
     one pole per mode and k, with no M x M array.
     """
     w = src.weights_array()
-    return _pole_sum(model.structured_modes(), src.positions_array(), src.orientations_array(),
+    return _pole_sum(model, src.positions_array(), src.orientations_array(),
                      np.asarray(k_grid, dtype=float), model._form,
-                     lambda v: (np.vdot(w, v), v @ w))
+                     lambda v: (np.vdot(w, v), v @ w)).imag / math.pi
 
 
 @dataclass(frozen=True)
@@ -160,14 +165,14 @@ class ModeSet:
         return self.modes
 
     @staticmethod
-    def _product(x, y, pole):
-        """CDOS term: the real Lorentzian ``Im(pole)/pi`` times ``Re(v v^H)``."""
-        return (pole.imag / math.pi) * (x * y.conjugate()).real
+    def _cross(x, y):
+        """Weight ``Re(x conj(y))``: real, so each line is a Lorentzian."""
+        return (x * y.conjugate()).real
 
     @staticmethod
-    def _form(x, y, pole):
-        """Term of ``w^H rho w``: ``Im(pole)/pi (|x|^2 + |y|^2)/2``."""
-        return (pole.imag / math.pi) * (0.5 * (abs(x) ** 2 + abs(y) ** 2))
+    def _form(x, y):
+        """Weight of ``w^H rho w``: ``(|x|^2 + |y|^2)/2``."""
+        return 0.5 * (abs(x) ** 2 + abs(y) ** 2)
 
     cdos = _two_point
     cdos_matrix = _pole_matrix

@@ -4,14 +4,22 @@ The model sums two resonance poles at complex frequencies k_m - i*gamma_m/2
 with *unconjugated* field products, which is what produces non-Lorentzian
 (Fano) LDOS and CDOS spectra when the mode fields carry nontrivial phases.
 It is the one pole model of :mod:`purcellx.modal`, shared with lossy modes;
-:class:`QnmPair` fixes only its field product, one for both of its terms.
+:class:`QnmPair` states only its weight ``Z = x y``, one for both of its
+terms.
 
-Every LDOS/CDOS spectrum of this model decomposes exactly into one Fano
-profile per mode.  The half-angle convention q = tan((phi_1 + phi_2)/2)
-makes the decomposition an identity (verified by the test suite to 1e-9
-over dense grids); the alternative arithmetic-mean-of-tangents convention
-q = (tan phi_1 + tan phi_2)/2 coincides with it when phi_1 = phi_2 and is
-reported for comparison rather than asserted otherwise.
+The CDOS of every pole model decomposes exactly into one Fano profile per
+mode.  With ``Z_m = model._cross(z_a, z_b)`` the weight of mode m between
+the fields ``z_a``, ``z_b`` projected at the two points, the identity
+
+    ``Im(Z_m / (k_m - i g_m/2 - k))/pi = K_m F(k_m, g_m, q_m, k)``,
+    ``q_m = tan(arg(Z_m)/2)``, ``K_m = -2 |Z_m| / (pi g_m)``
+
+holds at every k (verified by the test suite to 1e-9 over dense grids).
+For a QNM, ``arg(Z_m)`` is the phase sum ``phi_a + phi_b``; a lossy mode's
+real weight gives a Lorentzian, with q = 0 or infinite.  The
+arithmetic-mean-of-tangents convention q = (tan phi_a + tan phi_b)/2
+coincides with the QNM half-angle q when phi_a = phi_b and is reported for
+comparison rather than asserted otherwise.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from .core import (
     _two_point,
 )
 from .fields import projected_field, projected_field_many
-from .modal import _PoleMode, _pole_forms, _pole_ldos, _pole_matrix, _pole_sum
+from .modal import ModeSet, _PoleMode, _pole_forms, _pole_ldos, _pole_matrix, _pole_sum
 
 __all__ = [
     "Qnm",
@@ -57,6 +65,9 @@ ZERO_FIELD_CUTOFF = 1e-14
 #: |cos| below which a tangent is reported as the infinite-q signal.
 _TAN_POLE_CUTOFF = 1e-12
 
+#: Labels of a pole model's modes in the Fano tools, in mode order.
+_LABELS = "abcdefghijklmnopqrstuvwxyz"
+
 
 @dataclass(frozen=True)
 class Qnm(_PoleMode):
@@ -79,11 +90,11 @@ class QnmPair:
         return (self.qnm_a, self.qnm_b)
 
     @staticmethod
-    def _product(x, y, pole):
-        """CDOS term ``Im(pole x y)/pi``, with no conjugation; the term of ``w^H rho w`` too."""
-        return (1.0 / math.pi) * (x * y * pole).imag
+    def _cross(x, y):
+        """Weight ``x y``, with no conjugation; the weight of ``w^H rho w`` too."""
+        return x * y
 
-    _form = _product
+    _form = _cross
     cdos = _two_point
     cdos_matrix = _pole_matrix
     ldos_many = _pole_ldos
@@ -94,11 +105,12 @@ def green_qnm_projected(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
                         k: Wavenumber) -> complex:
     """Projected two-mode Green's function u_a . G(r_a, r_b, k) u_b.
 
-    Each mode contributes ``(u_a.E(r_a)) (u_b.E(r_b)) / (2k (k_m - i g_m/2 - k))``
-    with no conjugation of the second field factor.
+    The model's pole sum over ``2k``: each mode contributes
+    ``Z_m / (2k (k_m - i g_m/2 - k))``, with ``Z_m`` the pair's weight of the
+    fields ``u_a.E(r_a)`` and ``u_b.E(r_b)``, so ``(2k/pi) Im`` of it is
+    :func:`cdos_qnm`.
     """
-    pole_sum = _pole_sum(pair.structured_modes(), *_point_arrays(a, b), k,
-                         lambda x, y, pole: x * y * pole)
+    pole_sum = _pole_sum(pair, *_point_arrays(a, b), k, pair._cross)
     return complex(pole_sum[0, 1]) / (2.0 * k)
 
 
@@ -189,44 +201,52 @@ class FanoTerm:
         _require_finite("coefficient", self.coefficient)
 
 
-def _decompose(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint) -> list[tuple]:
-    """Per mode with a nonzero projected field at both points: its label, its
-    phases at ``a`` and ``b`` and its Fano coefficient ``-2 |z_a z_b| / (pi g_m)``."""
+def _labelled_modes(pair) -> dict:
+    """The modes of a pole model under the labels ``a``, ``b``, ... in mode order."""
+    if not isinstance(pair, (ModeSet, QnmPair)):
+        raise InvalidArgumentError(f"{type(pair).__name__} is not a pole model (ModeSet, QnmPair)")
+    modes = pair.structured_modes()
+    if len(modes) > len(_LABELS):
+        raise InvalidArgumentError(f"{len(modes)} modes exceed the {len(_LABELS)} Fano labels a-z")
+    return dict(zip(_LABELS, modes))
+
+
+def _decompose(pair, a: PolarizedPoint, b: PolarizedPoint) -> list[tuple]:
+    """Per mode with a nonzero projected field at both points: its exact Fano
+    term (the module's identity) and its field phases at ``a`` and ``b``."""
     live = []
     positions, orientations = _point_arrays(a, b)
-    for label, mode in zip("ab", pair.structured_modes()):
+    for label, mode in _labelled_modes(pair).items():
         za, zb = projected_field_many(mode.field, positions, orientations)
         if min(abs(za), abs(zb)) < ZERO_FIELD_CUTOFF:
             continue
-        live.append((label, _phase(za), _phase(zb),
-                     float(-2.0 * abs(za * zb) / (math.pi * mode.gamma_m))))
+        z = pair._cross(za, zb)
+        # either sign of a negative real weight's argument gives the infinite q
+        term = FanoTerm(label, _tan_or_inf(0.5 * math.atan2(z.imag, z.real)),
+                        float(-2.0 * abs(z) / (math.pi * mode.gamma_m)))
+        live.append((term, _phase(za), _phase(zb)))
     if not live:
         raise UndefinedPhaseError("no mode has a nonzero projected field at both points; "
                                   "nothing to decompose")
     return live
 
 
-def _fano_terms(live: list[tuple], convention: str) -> list[FanoTerm]:
-    """Fano terms of decomposed modes, with the q of a :class:`FanoQParams` field."""
-    return [FanoTerm(label, getattr(fano_q_params(phi_a, phi_b), convention), coefficient)
-            for label, phi_a, phi_b, coefficient in live]
-
-
-def fano_decompose_cdos(pair: QnmPair, a: PolarizedPoint,
+def fano_decompose_cdos(pair: ModeSet | QnmPair, a: PolarizedPoint,
                         b: PolarizedPoint) -> list[FanoTerm]:
-    """Exact Fano decomposition of the two-mode CDOS spectrum.
+    """Exact Fano decomposition of a pole model's CDOS spectrum.
 
-    For each mode with nonzero projected field at both points the term is
-    ``K * F(k_m, g_m, q, k)`` with ``q = tan((phi_a + phi_b)/2)`` and
-    ``K = -2 |(u_a.E(r_a))(u_b.E(r_b))| / (pi g_m)``, derived in closed form
-    (no fitting); the sum over modes reproduces :func:`cdos_qnm` identically.
+    One term ``K_m F(k_m, g_m, q_m, k)`` per mode with a nonzero projected
+    field at both points, labelled ``a``, ``b``, ... in mode order, with
+    ``q_m`` and ``K_m`` in closed form (no fitting) from the identity in the
+    module docstring; the sum over modes reproduces ``pair.cdos(a, b, k)``
+    identically, for a :class:`QnmPair` and a :class:`ModeSet` alike.
     """
-    return _fano_terms(_decompose(pair, a, b), "q12_halfangle")
+    return [term for term, _, _ in _decompose(pair, a, b)]
 
 
-def reconstruct_cdos(pair: QnmPair, terms: list[FanoTerm], k):
+def reconstruct_cdos(pair: ModeSet | QnmPair, terms: list[FanoTerm], k):
     """Evaluate a Fano-term sum on scalar or array k."""
-    modes = dict(zip("ab", pair.structured_modes()))
+    modes = _labelled_modes(pair)
     total = 0.0 if np.ndim(k) == 0 else np.zeros(np.shape(k))
     for term in terms:
         if term.label not in modes:
@@ -236,7 +256,7 @@ def reconstruct_cdos(pair: QnmPair, terms: list[FanoTerm], k):
     return total
 
 
-def mean_q_report(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
+def mean_q_report(pair: ModeSet | QnmPair, a: PolarizedPoint, b: PolarizedPoint,
                   k_grid: np.ndarray) -> dict:
     """Compare both q conventions against the direct CDOS on a grid.
 
@@ -249,14 +269,17 @@ def mean_q_report(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
     if k_grid.ndim != 1 or k_grid.size == 0:
         raise InvalidArgumentError("k grid must be a non-empty 1D array")
     live = _decompose(pair, a, b)
-    direct = np.array([cdos_qnm(pair, a, b, float(k)) for k in k_grid])
+    # the (a, b) entry of the CDOS matrix, (x, y) = (z_a, z_b): each mode projected once
+    direct = _pole_sum(pair, *_point_arrays(a, b), k_grid, pair._cross, tuple).imag / math.pi
     scale = float(np.max(np.abs(direct))) or 1.0
-    half = reconstruct_cdos(pair, _fano_terms(live, "q12_halfangle"), k_grid)
+    half = reconstruct_cdos(pair, [term for term, _, _ in live], k_grid)
     # same coefficients, arithmetic-mean-of-tangents q (reported, not asserted)
-    mean = reconstruct_cdos(pair, _fano_terms(live, "q12_mean"), k_grid)
-    phases_equal = {label: phi_a == phi_b for label, phi_a, phi_b, _ in live}
+    mean_terms = [FanoTerm(term.label, fano_q_params(phi_a, phi_b).q12_mean, term.coefficient)
+                  for term, phi_a, phi_b in live]
+    mean = reconstruct_cdos(pair, mean_terms, k_grid)
+    equal = {term.label: phi_a == phi_b for term, phi_a, phi_b in live}
     return {
         "max_rel_dev_halfangle": float(np.max(np.abs(half - direct))) / scale,
         "max_rel_dev_mean": float(np.max(np.abs(mean - direct))) / scale,
-        "phases_equal_per_mode": [phases_equal.get(label, True) for label in "ab"],
+        "phases_equal_per_mode": [equal.get(label, True) for label in _labelled_modes(pair)],
     }

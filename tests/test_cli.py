@@ -299,6 +299,11 @@ _ENDPOINT = {"position": [0.0, 0.0, 0.0], "orientation": [0.0, 1.0, 0.0]}
 CONFIG_ERRORS = [
     (POINT_SPECTRUM, {"scenario": ""}, "scenario"),
     (POINT_SPECTRUM, {"scenario": _DELETE}, "scenario"),
+    (POINT_SPECTRUM, {"scenario": "../escaped"}, "scenario"),
+    (POINT_SPECTRUM, {"scenario": "sub/dir/name"}, "scenario"),
+    (POINT_SPECTRUM, {"scenario": "sub\\name"}, "scenario"),
+    (POINT_SPECTRUM, {"scenario": "."}, "scenario"),
+    (POINT_SPECTRUM, {"scenario": ".."}, "scenario"),
     (POINT_SPECTRUM, {"environment": "vacuum"}, "environment"),
     (POINT_SPECTRUM, {"environment.kind": "bogus"}, "environment.kind"),
     (POINT_SPECTRUM, {"environment.background_n": 0.5}, "environment.background_n"),

@@ -9,7 +9,9 @@ from hypothesis import example, given, strategies as st
 from purcellx import (
     AnalyticSurrogate,
     AnalyticSurrogateParams,
+    CompositeGreens,
     FanoTerm,
+    HomogeneousGreens,
     InvalidArgumentError,
     LossyMode,
     ModeSet,
@@ -29,6 +31,7 @@ from purcellx import (
     qnm_phase,
     reconstruct_cdos,
 )
+from purcellx import modal, qnm
 
 X = Orientation(1.0, 0.0, 0.0)
 Y = Orientation(0.0, 1.0, 0.0)
@@ -201,45 +204,100 @@ def test_decomposition_drops_dead_mode_and_raises_when_all_dead():
         fano_decompose_cdos(pair, _point(160.0), _point(10.0))
 
 
+def _pole_model(kind, amplitudes, k_a, g_a, detune, qual_ratio):
+    """A QnmPair ("qnm") or a ModeSet of ``kind`` lossy modes, from one set of mode shapes."""
+    shapes = (({}, k_a, g_a),
+              ({"x0": 120.0, "sx": 300.0}, k_a + detune * g_a, g_a / qual_ratio),
+              ({"x0": 240.0, "sx": 350.0, "sy": 90.0}, k_a - 0.5 * detune * g_a, g_a / 3.0))
+    count, mode, model = (2, Qnm, lambda modes: QnmPair(*modes)) if kind == "qnm" \
+        else (kind, LossyMode, ModeSet)
+    return model(tuple(mode(_surrogate(amp, **shape), k_m, g)
+                       for amp, (shape, k_m, g) in zip(amplitudes[:count], shapes)))
+
+
 @given(
     re_a=st.floats(min_value=-2, max_value=2),
     im_a=st.floats(min_value=-2, max_value=2),
     re_b=st.floats(min_value=-2, max_value=2),
     im_b=st.floats(min_value=-2, max_value=2),
+    amp_c=st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)),
     xa=st.floats(min_value=-200, max_value=200),
     xb=st.floats(min_value=-200, max_value=200),
     qual_a=st.floats(min_value=50, max_value=500),
     qual_ratio=st.floats(min_value=2, max_value=20),
     detune=st.floats(min_value=-1, max_value=1),
+    kind=st.sampled_from(("qnm", 1, 2, 3)),
 )
 # a subnormal imaginary part makes the phase underflow
-@example(re_a=2.0, im_a=5e-324, re_b=0.0, im_b=0.0, xa=0.0, xb=0.0,
-         qual_a=100.0, qual_ratio=2.0, detune=0.0)
-def test_decomposition_exactness_property(re_a, im_a, re_b, im_b, xa, xb,
-                                          qual_a, qual_ratio, detune):
+@example(re_a=2.0, im_a=5e-324, re_b=0.0, im_b=0.0, amp_c=0j, xa=0.0, xb=0.0,
+         qual_a=100.0, qual_ratio=2.0, detune=0.0, kind="qnm")
+def test_decomposition_exactness_property(re_a, im_a, re_b, im_b, amp_c, xa, xb,
+                                          qual_a, qual_ratio, detune, kind):
     amp_a = complex(re_a, im_a)
     amp_b = complex(re_b, im_b)
     if abs(amp_a) < 1e-3:
         amp_a = 1.0 + 0.0j
     k_a = 0.005
     g_a = k_a / qual_a
-    k_b = k_a + detune * g_a
-    g_b = g_a / qual_ratio
-    pair = QnmPair(
-        Qnm(field=_surrogate(amp_a), k_m=k_a, gamma_m=g_a),
-        Qnm(field=_surrogate(amp_b, x0=120.0, sx=300.0), k_m=k_b, gamma_m=g_b),
-    )
+    model = _pole_model(kind, (amp_a, amp_b, amp_c), k_a, g_a, detune, qual_ratio)
     a = _point(xa)
     b = _point(xb)
+    live = [label for label, mode in zip("abc", model.structured_modes())
+            if min(abs(_field_at(mode, p)) for p in (a, b)) >= 1e-14]
     try:
-        terms = fano_decompose_cdos(pair, a, b)
+        terms = fano_decompose_cdos(model, a, b)
     except UndefinedPhaseError:
+        assert not live
         return
+    assert [t.label for t in terms] == live
     ks = np.linspace(k_a - 5 * g_a, k_a + 5 * g_a, 120)
-    direct = np.array([cdos_qnm(pair, a, b, float(k)) for k in ks])
-    recon = reconstruct_cdos(pair, terms, ks)
+    direct = np.array([model.cdos(a, b, float(k)) for k in ks])
+    recon = reconstruct_cdos(model, terms, ks)
     scale = max(np.max(np.abs(direct)), 1e-300)
     assert np.max(np.abs(recon - direct)) / scale < 1e-9
+
+
+def _field_at(mode, p):
+    """Independent u . E(r) of a :func:`_surrogate` mode field at a polarized point."""
+    params = mode.field.params
+    r = (p.position.x, p.position.y, p.position.z)
+    u = (p.orientation.ux, p.orientation.uy, p.orientation.uz)
+    pol = (params.polarization.ux, params.polarization.uy, params.polarization.uz)
+    return _surrogate_projection(params.amplitude, params.sign_change_half_width, params.sigma_x,
+                                 params.sigma_y, pol, r, u)
+
+
+def test_decomposition_of_three_lossy_modes_keeps_every_term():
+    model = _pole_model(3, (1.0 + 0.5j, 0.3 - 0.9j, -0.7 + 0.2j), 0.005, 2.5e-5, 0.6, 2.5)
+    a, b = _point(30.0, 10.0), _point(-90.0)
+    terms = fano_decompose_cdos(model, a, b)
+    assert [t.label for t in terms] == ["a", "b", "c"]
+    # a lossy mode's real weight gives a Lorentzian: q is 0 or infinite
+    assert all(t.q == 0.0 or math.isinf(t.q) for t in terms)
+    ks = np.linspace(0.005 - 2e-4, 0.005 + 2e-4, 301)
+    direct = np.array([cdos_modal(model, a, b, float(k)) for k in ks])
+    recon = reconstruct_cdos(model, terms, ks)
+    assert np.max(np.abs(recon - direct)) / np.max(np.abs(direct)) < 1e-9
+    report = mean_q_report(model, a, b, ks)
+    assert report["max_rel_dev_halfangle"] < 1e-9
+    assert len(report["phases_equal_per_mode"]) == 3
+
+
+@pytest.mark.parametrize("kind", ["qnm", 3])
+def test_mean_q_report_projects_each_mode_at_most_twice(monkeypatch, kind):
+    calls = []
+    for module in (modal, qnm):
+        original = module.projected_field_many
+        monkeypatch.setattr(module, "projected_field_many",
+                            lambda *args, _f=original: calls.append(1) or _f(*args))
+    model = _pole_model(kind, (1.0 + 0.5j, 0.3 - 0.9j, -0.7 + 0.2j), 0.005, 2.5e-5, 0.6, 2.5)
+    a, b = _point(30.0, 10.0), _point(-90.0)
+    counts = []
+    for count in (2, 201):
+        calls.clear()
+        mean_q_report(model, a, b, np.linspace(0.0049, 0.0051, count))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2 * len(model.structured_modes())
 
 
 def test_mean_q_report_agrees_when_phases_equal():
@@ -342,6 +400,35 @@ def test_fano_tools_reject_bad_input():
     for k_grid in (np.array([]), np.full((2, 3), 0.005)):
         with pytest.raises(InvalidArgumentError, match="k grid must be a non-empty 1D array"):
             mean_q_report(pair, p, p, k_grid)
+
+
+def test_fano_tools_refuse_models_that_are_not_pole_models():
+    p = _point(40.0)
+    ks = np.array([0.005])
+    for model in (HomogeneousGreens(1.0), CompositeGreens(HomogeneousGreens(1.0), _single_qnm_pair())):
+        name = type(model).__name__
+        with pytest.raises(InvalidArgumentError, match=f"{name} is not a pole model"):
+            fano_decompose_cdos(model, p, p)
+        with pytest.raises(InvalidArgumentError, match=f"{name} is not a pole model"):
+            reconstruct_cdos(model, [], ks)
+        with pytest.raises(InvalidArgumentError, match=f"{name} is not a pole model"):
+            mean_q_report(model, p, p, ks)
+
+
+def test_fano_tools_refuse_more_modes_than_labels():
+    def mode_set(count):
+        return ModeSet(tuple(LossyMode(_surrogate(1.0), 0.005 + 1e-5 * i, 2.5e-5)
+                             for i in range(count)))
+
+    p = _point(40.0)
+    terms = fano_decompose_cdos(mode_set(26), p, p)
+    assert [t.label for t in terms] == list("abcdefghijklmnopqrstuvwxyz")
+    too_many = mode_set(27)
+    for call in (lambda: fano_decompose_cdos(too_many, p, p),
+                 lambda: reconstruct_cdos(too_many, terms, np.array([0.005])),
+                 lambda: mean_q_report(too_many, p, p, np.array([0.005]))):
+        with pytest.raises(InvalidArgumentError, match="27 modes exceed the 26"):
+            call()
 
 
 def test_qnm_does_not_warn_at_high_loss_and_never_equals_a_lossy_mode():
