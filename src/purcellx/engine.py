@@ -18,7 +18,8 @@ points of the grid, so a sweep agrees bitwise with :func:`decay_rate`.
 :func:`coherence_classification` takes its coherent sum the same way and its
 incoherent sum from each model's per-point LDOS, ``ldos_many``.  No function
 here builds the M x M ``cdos_matrix``: a homogeneous sum costs its terms
-(lags or pairs) x K in blocks of bounded size, and a pole sum modes x (M + K).
+(distinct separations of a lattice, or pairs) x K in blocks of bounded size,
+and a pole sum modes x (M + K).
 """
 
 from __future__ import annotations

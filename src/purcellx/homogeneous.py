@@ -157,13 +157,13 @@ class HomogeneousGreens:
     def forms(self, src: ExtendedSource, k_grid) -> np.ndarray:
         """The values ``w^H rho(k) w`` of a source over a wavenumber grid.
 
-        The k-free terms are built once: over the lags of a lattice source
-        (:func:`_lag_terms`), or over its pairs (:func:`_pair_terms`) when the
-        source has no lattice or has fewer pairs than lags.  The terms then
-        cost the radial factors and one sum per k, taken in blocks of at most
-        ``_BLOCK`` elements (:func:`_blocked_sums`), so memory does not grow
-        with the grid.  A k's value does not depend on the other points of the
-        grid.
+        The k-free terms are built once: over the distinct separations of a
+        lattice source (:func:`_lag_terms`), or over its pairs
+        (:func:`_pair_terms`) when the source has no lattice or has fewer
+        pairs than lags.  The terms then cost the radial factors and one sum
+        per k, taken in blocks of at most ``_BLOCK`` elements
+        (:func:`_blocked_sums`), so memory does not grow with the grid.  A k's
+        value does not depend on the other points of the grid.
         """
         k_grid = np.asarray(k_grid, dtype=float)
         _require_k(k_grid)
@@ -229,20 +229,24 @@ def _fast_length(m: int) -> int:
 
 def _lag_terms(steps: np.ndarray, cells: np.ndarray, orientations: np.ndarray,
                weights: np.ndarray):
-    """``(r, alpha, beta)`` over the lags L of a lattice source.
+    """``(r, alpha, beta)`` over the distinct separations r of a lattice source.
 
     With ``a_i = w_i u_i`` on the lattice, ``C_pq(L) = sum_i conj(a_ip) a_{i+L,q}``
     is a zero-padded FFT correlation (Goodman, Draine & Flatau, Opt. Lett. 16,
-    1198, 1991).  Then ``r_L = |L.steps|``, ``alpha_L = Re tr C(L)`` and
-    ``beta_L = Re R^_L^T C(L) R^_L``, so that ``sum_L`` of the pair values
-    equals ``sum_ij conj(w_i) w_j rho_ij``.
+    1198, 1991).  A lag L gives ``r_L = |L.steps|``, ``alpha_L = Re tr C(L)``
+    and ``beta_L = Re R^_L^T C(L) R^_L``, so that ``sum_L`` of the pair values
+    equals ``sum_ij conj(w_i) w_j rho_ij``.  Since the pair value depends on L
+    only through ``r_L``, the lags of bitwise-equal r are merged into one term,
+    and r comes out strictly ascending.
 
     An axis of ``n > 1`` cells is padded to :func:`_fast_length` ``(2n - 1)``,
     which holds the lags ``-(n-1)..(n-1)`` with no wrap-around; an axis of one
     cell is not transformed.  Only the live components ``p``, those with
     ``a_ip != 0`` for some i, are transformed, and only the symmetric correlations
     ``Re(C_pq + C_qp)/2 = Re ifft(Re(conj(S_p) S_q))``, p <= q, are taken: at
-    most 3 forward and 6 inverse transforms.
+    most 3 forward and 6 inverse transforms.  They are even in L, so the first
+    transformed axis is read back at ``0..n-1`` only, a nonzero lag there
+    standing for L and -L.
     """
     cells = cells - cells.min(axis=0)
     n = (cells.max(axis=0) + 1).tolist()
@@ -253,10 +257,13 @@ def _lag_terms(steps: np.ndarray, cells: np.ndarray, orientations: np.ndarray,
     grid[(slice(None), *cells.T)] = a[:, live].T
     spectrum = np.fft.fftn(grid, s=[_fast_length(2 * n[axis] - 1) for axis in axes],
                            axes=[1 + axis for axis in axes])
-    # FFT order of the lags along each axis: 0..n-1, then -(n-1)..-1
+    # FFT order of the lags along each axis: 0..n-1, then -(n-1)..-1; the
+    # first transformed axis keeps 0..n-1
     lags = [np.r_[0:m, 1 - m:0] for m in n]
-    r, unit = _separations(np.stack(np.meshgrid(*lags, indexing="ij"), axis=-1).reshape(-1, 3)
-                           @ steps)
+    if axes:
+        lags[axes[0]] = np.arange(n[axes[0]])
+    lag = np.stack(np.meshgrid(*lags, indexing="ij"), axis=-1).reshape(-1, 3)
+    r, unit = _separations(lag @ steps)
     alpha = np.zeros(r.size)
     beta = np.zeros(r.size)
     for i, p in enumerate(live):
@@ -267,7 +274,9 @@ def _lag_terms(steps: np.ndarray, cells: np.ndarray, orientations: np.ndarray,
             if i == j:
                 alpha += c
             beta += (1.0 if i == j else 2.0) * unit[:, p] * unit[:, q] * c
-    return r, alpha, beta
+    twice = np.where(lag[:, axes[0]] > 0, 2.0, 1.0) if axes else 1.0
+    r, term = np.unique(r, return_inverse=True)
+    return r, np.bincount(term, alpha * twice, r.size), np.bincount(term, beta * twice, r.size)
 
 
 def _pair_values(n: float, k: Wavenumber, r, alpha, beta) -> np.ndarray:

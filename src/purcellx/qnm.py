@@ -263,7 +263,10 @@ def mean_q_report(pair: ModeSet | QnmPair, a: PolarizedPoint, b: PolarizedPoint,
     Returns max relative deviations for each convention plus whether the two
     point phases coincide per mode (in which case the conventions agree
     exactly; a mode absent from the decomposition counts as coinciding).
-    Intended for diagnostic output, not assertions.
+    The mean convention is built from the field phases, which shape only a
+    QNM's term: a :class:`ModeSet`'s weights are real, so its
+    ``max_rel_dev_mean`` is ``nan``.  Intended for diagnostic output, not
+    assertions.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.ndim != 1 or k_grid.size == 0:
@@ -273,13 +276,16 @@ def mean_q_report(pair: ModeSet | QnmPair, a: PolarizedPoint, b: PolarizedPoint,
     direct = _pole_sum(pair, *_point_arrays(a, b), k_grid, pair._cross, tuple).imag / math.pi
     scale = float(np.max(np.abs(direct))) or 1.0
     half = reconstruct_cdos(pair, [term for term, _, _ in live], k_grid)
-    # same coefficients, arithmetic-mean-of-tangents q (reported, not asserted)
-    mean_terms = [FanoTerm(term.label, fano_q_params(phi_a, phi_b).q12_mean, term.coefficient)
-                  for term, phi_a, phi_b in live]
-    mean = reconstruct_cdos(pair, mean_terms, k_grid)
+    mean_dev = math.nan
+    if isinstance(pair, QnmPair):
+        # same coefficients, arithmetic-mean-of-tangents q (reported, not asserted)
+        mean_terms = [FanoTerm(term.label, fano_q_params(phi_a, phi_b).q12_mean,
+                               term.coefficient) for term, phi_a, phi_b in live]
+        mean = reconstruct_cdos(pair, mean_terms, k_grid)
+        mean_dev = float(np.max(np.abs(mean - direct))) / scale
     equal = {term.label: phi_a == phi_b for term, phi_a, phi_b in live}
     return {
         "max_rel_dev_halfangle": float(np.max(np.abs(half - direct))) / scale,
-        "max_rel_dev_mean": float(np.max(np.abs(mean - direct))) / scale,
+        "max_rel_dev_mean": mean_dev,
         "phases_equal_per_mode": [equal.get(label, True) for label in _labelled_modes(pair)],
     }

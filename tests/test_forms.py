@@ -146,6 +146,13 @@ def test_forms_match_dense_double_sum(model, field_kinds, count, coincident, see
 
 
 def _grid_shape(rng, layout, size):
+    if layout == "square":
+        shape = [1, 1, 1]
+        for axis in rng.choice(3, size=2, replace=False):
+            shape[axis] = size
+        return tuple(shape)
+    if layout == "cubic":
+        return (size, size, size)
     if layout == "1xNx1":
         return (1, size, 1)
     if layout == "Nx1x1":
@@ -163,9 +170,17 @@ def _grid_shape(rng, layout, size):
 def _sampled(rng, layout, size, drop, aligned=False):
     """A sampled source with random complex weights and orientations and dropped cells."""
     shape = _grid_shape(rng, layout, size)
-    lo = rng.uniform(-100.0, 100.0, 3)
-    # a one-cell axis is flat or has an extent; an axis with more cells always has one
-    extent = [rng.uniform(5.0, 300.0) if n > 1 or rng.random() < 0.5 else 0.0 for n in shape]
+    if layout in ("square", "cubic"):
+        # one step on every axis of cells, exact in binary: a separation the
+        # lattice repeats by symmetry is the same float each time
+        lo = rng.integers(-100, 100, 3).astype(float)
+        step = rng.integers(1, 120) / 4.0
+        extent = [n * step if n > 1 else 0.0 for n in shape]
+    else:
+        lo = rng.uniform(-100.0, 100.0, 3)
+        # a one-cell axis is flat or has an extent; an axis with more cells always has one
+        extent = [rng.uniform(5.0, 300.0) if n > 1 or rng.random() < 0.5 else 0.0
+                  for n in shape]
     grid = SamplingGrid(tuple(lo), tuple(lo + extent), shape)
     centers = [(p.x, p.y, p.z) for p in grid.centers()]
     weights = rng.normal(size=len(centers)) + 1j * rng.normal(size=len(centers))
@@ -241,6 +256,57 @@ def test_lattice_forms_at_prime_lag_extents(count, aligned):
     _assert_lattice_forms_match_dense_double_sum(cells, env, k_grid)
 
 
+@given(
+    layout=st.sampled_from(["square", "cubic"]),
+    size=st.integers(min_value=2, max_value=9),
+    drop=st.floats(min_value=0.0, max_value=0.6),
+    aligned=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_merged_separations_match_dense_double_sum(layout, size, drop, aligned, seed):
+    # equal steps: lags related by the lattice's symmetries, not only L and -L, share one term
+    rng = np.random.default_rng(seed)
+    src = _sampled(rng, layout, min(size, 4) if layout == "cubic" else size, drop, aligned)
+    env = HomogeneousGreens(rng.uniform(1.0, 3.5))
+    _assert_lattice_forms_match_dense_double_sum(src, env, np.sort(rng.uniform(0.001, 0.03, 3)))
+
+
+def _distinct_squares(shape, units):
+    """The distinct sums ``sum_a (units_a i_a)**2`` over the lags ``0 <= i_a < shape_a``,
+    in Python integers."""
+    squares = {0}
+    for n, unit in zip(shape, units):
+        squares = {s + (unit * i) ** 2 for s in squares for i in range(n)}
+    return sorted(squares)
+
+
+@pytest.mark.parametrize("shape, steps", [
+    ((40, 40, 1), (8.0, 8.0, 0.0)),
+    ((1, 23, 1), (0.0, 8.0, 0.0)),
+    ((12, 1, 7), (8.0, 0.0, 4.0)),
+    ((5, 4, 6), (8.0, 8.0, 16.0)),
+])
+def test_lag_terms_are_the_distinct_separations(shape, steps):
+    # steps that are powers of two make every r**2 exact: (r / 4)**2 is an integer
+    grid = SamplingGrid((0.0, 0.0, 0.0), tuple(n * step for n, step in zip(shape, steps)), shape)
+    src = sampled_source(lambda p: 1.0, lambda p: Orientation.from_vector(1.0, 0.5, 0.2), grid)
+    r, alpha, beta = _lag_terms(*src._lattice, src.orientations_array(), src.weights_array())
+    assert np.all(np.diff(r) > 0.0)
+    expected = _distinct_squares(shape, [int(step) // 4 for step in steps])
+    assert np.rint((r / 4.0) ** 2).astype(int).tolist() == expected
+    assert r.shape == alpha.shape == beta.shape
+    if shape == (40, 40, 1):
+        assert r.size == 653
+
+
+def test_lag_terms_of_a_line_are_its_separations():
+    # 37 elements 8 nm apart: one term at each L * 8 nm, L = 0..36
+    line = line_source(Position(0.0, 0.0, 0.0), Orientation(1.0, 0.0, 0.0),
+                       Orientation(0.0, 1.0, 0.0), 36 * 8.0, 37)
+    r, _, _ = _lag_terms(*line._lattice, line.orientations_array(), line.weights_array())
+    assert r.tolist() == [8.0 * lag for lag in range(37)]
+
+
 def test_fast_length_is_the_next_2_3_5_smooth_length():
     smooth = sorted(2**a * 3**b * 5**c for a in range(13) for b in range(8) for c in range(6))
     for m in range(1, 2001):
@@ -285,7 +351,7 @@ def test_lag_terms_skip_one_cell_axes(monkeypatch):
 
 
 def test_homogeneous_forms_memory_on_a_40x40_slab():
-    # 1600 elements: the pair path holds 1.28 M pairs, the lag path 79 x 79 lags
+    # 1600 elements: the pair path holds 1.28 M pairs, the lag path 653 separations
     grid = SamplingGrid((-200.0, -200.0, 0.0), (200.0, 200.0, 0.0), (40, 40, 1))
     src = sampled_source(lambda r: (1.0 + 0.3j) * cmath.exp(0.01j * (r.x + 2.0 * r.y)),
                          lambda r: Orientation.from_vector(1.0, r.x / 400.0, 0.3), grid)
@@ -299,7 +365,7 @@ def test_homogeneous_forms_memory_on_a_40x40_slab():
 
 
 def test_homogeneous_forms_memory_on_a_100x100_slab():
-    # 10,000 elements: the lag path pads 199 x 199 lags to 200 x 200
+    # 10,000 elements: the lag path pads 199 x 199 lags to 200 x 200, 3,664 separations
     grid = SamplingGrid((-500.0, -500.0, 0.0), (500.0, 500.0, 0.0), (100, 100, 1))
     src = sampled_source(lambda r: (1.0 + 0.3j) * cmath.exp(0.01j * (r.x + 2.0 * r.y)),
                          lambda r: Orientation.from_vector(1.0, r.x / 1000.0, 0.3), grid)
@@ -350,12 +416,13 @@ def _random_hand_built(rng, count):
 
 
 def test_blocks_cannot_be_seen_in_the_forms():
-    # 150 elements: 299 lags, which do not divide _BLOCK, so a block holds 27 k
+    # 150 elements: as many terms, which do not divide _BLOCK, so a block holds 54 k
     line = line_source(Position(10.0, -5.0, 3.0), Orientation.from_vector(1.0, 0.2, 0.1),
                        Orientation.from_vector(0.3, 1.0, -0.4), 420.0, 150, 1.3)
-    assert _BLOCK % 299 != 0
+    terms = _lag_terms(*line._lattice, line.orientations_array(), line.weights_array())[0].size
+    assert _BLOCK % terms != 0
     env = HomogeneousGreens(1.6)
-    ks = np.linspace(0.002, 0.03, 3 * (_BLOCK // 299) + 5)  # four blocks, the last partial
+    ks = np.linspace(0.002, 0.03, 3 * (_BLOCK // terms) + 5)  # four blocks, the last partial
     full = env.forms(line, ks)
     single = np.array([env.forms(line, [k])[0] for k in ks])
     assert full.tobytes() == single.tobytes()
@@ -379,9 +446,9 @@ def test_pair_path_beyond_one_block_matches_dense_sum():
 
 
 def test_lag_path_beyond_one_block_matches_one_sum():
-    # 4,200 elements: 8,399 lags, sliced into two chunks
+    # 8,400 elements: 8,400 distinct separations, sliced into two chunks
     line = line_source(Position(0.0, 0.0, 0.0), Orientation.from_vector(1.0, 0.5, 0.0),
-                       Orientation.from_vector(0.2, 1.0, 0.7), 6000.0, 4200, 1.0)
+                       Orientation.from_vector(0.2, 1.0, 0.7), 12000.0, 8400, 1.0)
     lags = _lag_terms(*line._lattice, line.orientations_array(), line.weights_array())
     assert lags[0].size > _BLOCK
     env = HomogeneousGreens(1.2)
