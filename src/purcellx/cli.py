@@ -541,6 +541,25 @@ def _check_pair_doubling():
     return worst, "opposite-sign pair: doubling at phase pi, null at phase 0"
 
 
+def _check_lattice_lag_sum():
+    rng = np.random.default_rng(31)
+    grid = sources.SamplingGrid((-180.0, -120.0, 0.0), (180.0, 150.0, 0.0), (12, 9, 1))
+    ramp, tilt = rng.uniform(-0.02, 0.02, 2), rng.uniform(0.2, 0.8)
+    src = sources.sampled_source(
+        lambda r: (1.0 + 0.4j) * np.exp(1j * (ramp[0] * r.x + ramp[1] * r.y)),
+        lambda r: Orientation.from_vector(1.0, r.y / 150.0, tilt), grid)
+    env = homogeneous.HomogeneousGreens(1.5)
+    ks = np.array([0.004, 0.011, 0.02])
+    w = src.weights_array()
+    worst = 0.0
+    for k, got in zip(ks, env.forms(src, ks)):
+        terms = w.conjugate()[:, None] * w * env.cdos_matrix(
+            src.positions_array(), src.orientations_array(), k)
+        worst = max(worst, abs(got - terms.real.sum()) / np.abs(terms).sum())
+    return worst, ("lattice forms of a tilted, phase-ramped 12 x 9 sampled source vs "
+                   "w^H cdos_matrix w at 3 k, relative to the summed term magnitudes")
+
+
 def run_checks(verbose: bool = False) -> int:
     """Run the invariant suite; returns the process exit code."""
     checks = [
@@ -553,6 +572,7 @@ def run_checks(verbose: bool = False) -> int:
         ("fano-decomposition", _check_fano_decomposition, 1e-9),
         ("modal-qnm-consistency", _check_modal_qnm_consistency, 5e-3),
         ("pair-doubling", _check_pair_doubling, 1e-12),
+        ("lattice-lag-sum", _check_lattice_lag_sum, 1e-12),
     ]
     failures = 0
     for name, fn, tol in checks:

@@ -227,6 +227,32 @@ def _fast_length(m: int) -> int:
         m += 1
 
 
+def _lattice_frame(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An orthonormal frame fitted to a lattice, and the lattice's steps in it.
+
+    Gram-Schmidt, taken twice, over the rows of ``steps`` and then over the
+    coordinate axes gives the rows ``e_c`` of the (3, 3) frame: the first ``d``
+    span the steps, the others their complement.  A vector whose rest is at
+    most 1e-9 of its length, such as a zero step, adds no row.  Returns the
+    frame and the (len(steps), d) coordinates ``s_a.e_c`` of the steps.  Steps
+    along distinct coordinate axes give those axes exactly, so their
+    coordinates are exact and diagonal.
+    """
+    frame, span = [], 0
+    for i, v in enumerate([*steps.tolist(), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]):
+        rest = v
+        for _ in range(2):
+            for e in frame:
+                dot = sum(x * y for x, y in zip(rest, e))
+                rest = [x - dot * y for x, y in zip(rest, e)]
+        norm = math.sqrt(sum(x * x for x in rest))
+        if len(frame) < 3 and norm > 1e-9 * math.sqrt(sum(x * x for x in v)):
+            frame.append([x / norm for x in rest])
+            span += i < len(steps)
+    frame = np.array(frame)
+    return frame, steps @ frame[:span].T
+
+
 def _lag_terms(steps: np.ndarray, cells: np.ndarray, orientations: np.ndarray,
                weights: np.ndarray):
     """``(r, alpha, beta)`` over the distinct separations r of a lattice source.
@@ -239,44 +265,96 @@ def _lag_terms(steps: np.ndarray, cells: np.ndarray, orientations: np.ndarray,
     only through ``r_L``, the lags of bitwise-equal r are merged into one term,
     and r comes out strictly ascending.
 
+    The components ``a_ip`` are taken in the lattice's own frame
+    (:func:`_lattice_frame`): ``d`` of them in the span of the steps, the rest
+    across it.  ``R^_L`` lies in the span, so ``beta`` needs only the
+    symmetric correlations ``Re(C_pq + C_qp)/2``, p <= q, inside it, and
+    ``alpha`` adds to their diagonal the components across it as one summed
+    power ``sum_p |S_p|^2``.  Only the live components, those with
+    ``a_ip != 0`` for some i, are transformed and correlated: at most 3
+    forward transforms, and 2 inverse correlations for a line, 4 for a plane
+    and 6 for a volume.
+
     An axis of ``n > 1`` cells is padded to :func:`_fast_length` ``(2n - 1)``,
-    which holds the lags ``-(n-1)..(n-1)`` with no wrap-around; an axis of one
-    cell is not transformed.  Only the live components ``p``, those with
-    ``a_ip != 0`` for some i, are transformed, and only the symmetric correlations
-    ``Re(C_pq + C_qp)/2 = Re ifft(Re(conj(S_p) S_q))``, p <= q, are taken: at
-    most 3 forward and 6 inverse transforms.  They are even in L, so the first
-    transformed axis is read back at ``0..n-1`` only, a nonzero lag there
-    standing for L and -L.
+    which holds the lags ``-(n-1)..(n-1)`` with no wrap-around, and is
+    transformed on its own, so that no axis transforms another's zero padding;
+    an axis of one cell is not transformed.  The correlations are real and
+    even in L, so all of them come from one batched real transform,
+    ``Re ifftn(X) = Re rfftn(X, norm="forward")``, which keeps the lags
+    ``0..n-1`` of the last transformed axis: a nonzero lag there stands for L
+    and -L.
     """
-    cells = cells - cells.min(axis=0)
-    n = (cells.max(axis=0) + 1).tolist()
-    axes = tuple(axis for axis in range(3) if n[axis] > 1)
-    a = weights[:, None] * orientations
-    live = np.flatnonzero(np.any(a != 0.0, axis=0))
-    grid = np.zeros((live.size, *n), dtype=complex)
-    grid[(slice(None), *cells.T)] = a[:, live].T
-    spectrum = np.fft.fftn(grid, s=[_fast_length(2 * n[axis] - 1) for axis in axes],
-                           axes=[1 + axis for axis in axes])
-    # FFT order of the lags along each axis: 0..n-1, then -(n-1)..-1; the
-    # first transformed axis keeps 0..n-1
-    lags = [np.r_[0:m, 1 - m:0] for m in n]
-    if axes:
-        lags[axes[0]] = np.arange(n[axes[0]])
-    lag = np.stack(np.meshgrid(*lags, indexing="ij"), axis=-1).reshape(-1, 3)
-    r, unit = _separations(lag @ steps)
-    alpha = np.zeros(r.size)
-    beta = np.zeros(r.size)
-    for i, p in enumerate(live):
-        conj = spectrum[i].conj()
-        for j, q in enumerate(live[i:], start=i):
-            c = np.fft.ifftn((conj * spectrum[j]).real, axes=axes)
-            c = c.real[np.ix_(*lags)].ravel()
-            if i == j:
-                alpha += c
-            beta += (1.0 if i == j else 2.0) * unit[:, p] * unit[:, q] * c
-    twice = np.where(lag[:, axes[0]] > 0, 2.0, 1.0) if axes else 1.0
-    r, term = np.unique(r, return_inverse=True)
-    return r, np.bincount(term, alpha * twice, r.size), np.bincount(term, beta * twice, r.size)
+    # (3, M): the reductions run along the contiguous last axis
+    index = cells.T.copy()
+    index -= index.min(axis=1, keepdims=True)
+    n = (index.max(axis=1) + 1).tolist()
+    axes = [axis for axis in range(3) if n[axis] > 1]
+    n = [n[axis] for axis in axes]
+    frame, coords = _lattice_frame(steps[axes])
+    span = coords.shape[1]
+    pairs, c = _correlations((frame @ orientations.T) * weights, index[axes], n, span)
+    # the lags kept, in FFT order along each axis: 0..n-1, then -(n-1)..-1;
+    # the last axis keeps 0..n-1
+    lags = [np.r_[0:m, 1 - m:0] for m in n[:-1]] + [np.arange(m) for m in n[-1:]]
+    c = c[(slice(None), *np.ix_(*lags[:-1]), *map(slice, n[-1:]))]
+    lags = np.ix_(*lags)
+    # the lag's coordinates in the span, broadcast from the 1-D lags of each axis
+    pos = [sum(lag * coords[axis, e] for axis, lag in enumerate(lags) if coords[axis, e])
+           for e in range(span)]
+    r = np.sqrt(sum((p * p for p in pos), np.zeros(c.shape[1:])))
+    inv = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0.0)
+    unit = [p * inv for p in pos]
+    # alpha: the diagonal pairs and the row after the pairs, the power across the span
+    alpha = c[[i for i, (p, q) in enumerate(pairs) if p == q] + [*range(len(pairs), len(c))]]
+    alpha = alpha.sum(axis=0)
+    beta = np.zeros_like(r)
+    for i, (p, q) in enumerate(pairs):
+        beta += (1.0 if p == q else 2.0) * unit[p] * unit[q] * c[i]
+    if n:
+        twice = np.where(lags[-1] > 0, 2.0, 1.0)
+        alpha *= twice
+        beta *= twice
+    r, term = np.unique(r.ravel(), return_inverse=True)
+    return r, np.bincount(term, alpha.ravel(), r.size), np.bincount(term, beta.ravel(), r.size)
+
+
+def _correlations(a: np.ndarray, index: np.ndarray, n: list, span: int):
+    """The correlations :func:`_lag_terms` needs, over the lags of the padded grid.
+
+    ``a`` holds the (3, M) components in the lattice's frame, the first
+    ``span`` of them in the span of its steps, and ``index`` the cells along
+    the transformed axes, of ``n`` cells each.  Returns the pairs ``(p, q)``,
+    p <= q < span, of live components and the correlation rows: one
+    ``Re(C_pq + C_qp)/2`` per pair, then, if a live component lies across the
+    span, one ``sum_p Re C_pp`` over those components.  Each live component
+    is transformed in one zero-padded buffer, axis by axis from the last and
+    only over the cells that hold data on the axes not yet transformed; all
+    rows of ``X = Re(conj(S_p) S_q)`` then take one ``rfftn``, which keeps the
+    lags ``0..fast/2`` of the last axis.
+    """
+    live = np.flatnonzero((a != 0.0).any(axis=1)).tolist()
+    pairs = [(p, q) for p in live for q in live if p <= q < span]
+    across = [p for p in live if p >= span]
+    fast = [_fast_length(2 * m - 1) for m in n]
+    spectrum = np.zeros((len(live), *fast), dtype=complex)
+    # with no axis to transform, the source is one element
+    spectrum[(slice(None), *index)] = a[live] if n else a[live, 0]
+    for axis in reversed(range(len(n))):
+        # the axes before this one still hold their cells only
+        data = spectrum[(slice(None), *map(slice, n[:axis]))]
+        np.fft.fft(data, fast[axis], axis=1 + axis, out=data)
+    s = dict(zip(live, spectrum))
+    x = np.empty((len(pairs) + bool(across), *fast))
+    for i, (p, q) in enumerate(pairs):
+        x[i] = (s[p].conj() * s[q]).real
+    if across:
+        x[-1] = sum((s[p].conj() * s[p]).real for p in across)
+    # only X is needed from here: the inverse transform's buffer may take the spectra's place
+    del a, spectrum, s
+    if not n:
+        return pairs, x
+    out = np.empty((*x.shape[:-1], fast[-1] // 2 + 1), dtype=complex)
+    return pairs, np.fft.rfftn(x, axes=range(1, x.ndim), norm="forward", out=out).real
 
 
 def _pair_values(n: float, k: Wavenumber, r, alpha, beta) -> np.ndarray:

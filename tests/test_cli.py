@@ -256,8 +256,9 @@ def test_check_passes_and_fault_hook_fails(capsys, monkeypatch):
 def test_check_verbose_lists_residuals(capsys):
     assert main(["check", "--verbose"]) == 0
     out = capsys.readouterr().out
-    assert out.count("residual=") >= 8
+    assert out.count("residual=") >= 10
     assert "arithmetic-mean convention" in out
+    assert "PASS lattice-lag-sum" in out
 
 
 def test_shipped_configs_parse():

@@ -16,6 +16,8 @@ checked against the coherent and diagonal sums of the same dense matrix.
 
 import bisect
 import cmath
+import functools
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -49,6 +51,7 @@ from purcellx import (
     sampled_source,
 )
 from purcellx.homogeneous import _BLOCK, _fast_length, _lag_terms, _pair_values
+from purcellx.sources import _source
 
 #: Grid-field domain: x in [-300, 300], y in [-200, 200] nm.
 GRID_ORIGIN = (-300.0, -200.0)
@@ -199,7 +202,38 @@ def _random_point(rng, aligned=False):
     return PolarizedPoint(Position(*rng.uniform(-300.0, 300.0, 3)), _orientation(rng, aligned))
 
 
+def _across_and_along(rng, axis, count):
+    """Unit vectors with a part along ``axis`` and a part across it, neither below 0.2."""
+    across = rng.normal(size=(count, 3))
+    across -= np.outer(across @ axis, axis)
+    across /= np.linalg.norm(across, axis=1)[:, None]
+    angle = rng.uniform(0.2, 1.37, count) * rng.choice([-1.0, 1.0], count)
+    return np.cos(angle)[:, None] * axis + np.sin(angle)[:, None] * across
+
+
+def _off_axis_source(rng, layout, size):
+    """A pair or line whose step lies along y or z, on lattice axis 0, with complex
+    weights and orientations both along and across the step."""
+    axis = np.eye(3)[rng.choice([1, 2])] * rng.choice([-1.0, 1.0])
+    count = 2 if layout == "axis-pair" else size
+    orientations = _across_and_along(rng, axis, count)
+    if layout == "axis-pair":
+        a = Position(*rng.uniform(-300.0, 300.0, 3))
+        b = Position(*(a.as_array() + rng.uniform(5.0, 400.0) * axis))
+        return pair_source(*(PolarizedPoint(p, Orientation(*u)) for p, u in
+                             zip((a, b), orientations)),
+                           rng.uniform(0.5, 2.0), rng.uniform(-np.pi, np.pi))
+    line = line_source(Position(*rng.uniform(-50.0, 50.0, 3)), Orientation(*axis),
+                       Orientation(*orientations[0]), rng.uniform(0.0, 400.0), count)
+    weights = rng.normal(size=len(line)) + 1j * rng.normal(size=len(line))
+    # the line's lattice with per-element orientations and complex weights
+    return _source(line.positions_array(), orientations[:len(line)], weights, line.reference,
+                   line._lattice)
+
+
 def _lattice_source(rng, layout, size, drop, aligned=False):
+    if layout in ("axis-pair", "axis-line"):
+        return _off_axis_source(rng, layout, size)
     if layout == "line":
         # along a random, generally non-axis, direction
         return line_source(Position(*rng.uniform(-50.0, 50.0, 3)), _orientation(rng),
@@ -229,7 +263,8 @@ def _assert_lattice_forms_match_dense_double_sum(src, env, k_grid):
 
 
 @given(
-    layout=st.sampled_from(["1xNx1", "Nx1x1", "Nx1xM", "2d", "3d", "line", "pair", "point"]),
+    layout=st.sampled_from(["1xNx1", "Nx1x1", "Nx1xM", "2d", "3d", "line", "pair", "point",
+                            "axis-pair", "axis-line"]),
     size=st.integers(min_value=1, max_value=9),
     drop=st.floats(min_value=0.0, max_value=0.6),
     aligned=st.booleans(),
@@ -313,41 +348,88 @@ def test_fast_length_is_the_next_2_3_5_smooth_length():
         assert _fast_length(m) == smooth[bisect.bisect_left(smooth, m)], m
 
 
-def _count_transforms(monkeypatch):
-    """Record the lengths of each transform ``np.fft.fftn`` and ``np.fft.ifftn`` make."""
-    calls = {"fftn": [], "ifftn": []}
-    for name in calls:
-        def counting(a, s=None, axes=None, *args, _name=name, _fft=getattr(np.fft, name),
-                     **kwargs):
-            out = _fft(a, s, axes, *args, **kwargs)
-            lengths = tuple(out.shape[axis] for axis in axes)
-            calls[_name] += [lengths] * (out.size // int(np.prod(lengths)))
-            return out
-        monkeypatch.setattr(np.fft, name, counting)
-    return calls
+#: The transforms of ``np.fft``; the helpers ``*freq`` and ``*shift`` transform nothing.
+_TRANSFORMS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfft2",
+               "irfft2", "rfftn", "irfftn", "hfft", "ihfft")
 
 
-@pytest.mark.parametrize("polarization, forward, inverse", [
-    ((0.0, 1.0, 0.0), 1, 1),
-    ((0.6, 0.0, 0.8), 2, 3),
-    ((0.36, 0.48, 0.8), 3, 6),
+def _lag_transforms(src):
+    """The transforms ``_lag_terms`` makes through ``np.fft`` for a source, by length.
+
+    ``_lag_terms`` keeps its components, then its correlations, as rows along
+    the leading axis.  It transforms the components axis by axis with
+    ``np.fft.fft``, which together make one forward transform per component,
+    and all correlations at once with ``np.fft.rfftn``.  Returns
+    ``{"forward": [lengths] per component, "inverse": [lengths] per
+    correlation}``, with the lengths in axis order, and each other transform
+    under its own name.  The lengths are read from the arguments, since
+    ``rfftn`` halves its output's last axis.
+    """
+    calls = []
+
+    def counting(*args, _name, _fft, **kwargs):
+        bound = inspect.signature(_fft).bind(*args, **kwargs)
+        bound.apply_defaults()
+        a, arguments = np.asarray(bound.arguments["a"]), bound.arguments
+        if "axis" in arguments:
+            axes, lengths = [arguments["axis"]], [arguments["n"]]
+        else:
+            lengths = arguments["s"]
+            axes = arguments["axes"] or range(-len(lengths or a.shape), 0)
+            lengths = lengths or [None] * len(axes)
+        axes = [axis % a.ndim for axis in axes]
+        calls.append((_name, {axis: length or a.shape[axis]
+                              for axis, length in zip(axes, lengths)}, a.shape[0]))
+        return _fft(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in _TRANSFORMS:
+            patch.setattr(np.fft, name, functools.partial(counting, _name=name,
+                                                          _fft=getattr(np.fft, name)))
+        _lag_terms(*src._lattice, src.orientations_array(), src.weights_array())
+    counts = {"forward": [], "inverse": []}
+    forward, rows = {}, 0
+    for name, lengths, count in calls:
+        if name == "fft":
+            forward.update(lengths)
+            rows = count
+        elif name == "rfftn":
+            counts["inverse"] += [tuple(lengths[axis] for axis in sorted(lengths))] * count
+        else:
+            counts.setdefault(name, []).append(lengths)
+    counts["forward"] = [tuple(forward[axis] for axis in sorted(forward))] * rows
+    return counts
+
+
+@pytest.mark.parametrize("axis, polarization, forward, inverse", [
+    ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 1, 1),
+    ((1.0, 0.0, 0.0), (0.6, 0.0, 0.8), 2, 2),
+    ((1.0, 0.0, 0.0), (0.36, 0.48, 0.8), 3, 2),
+    # the frame follows the line: 3 components, one of them along it
+    ((1.0, 1.0, 1.0), (0.36, -0.48, 0.8), 3, 2),
 ])
-def test_lag_terms_transform_only_live_components(monkeypatch, polarization, forward, inverse):
-    # 40 cells along x pad 79 lags to 80
-    line = line_source(Position(0.0, 0.0, 0.0), Orientation(1.0, 0.0, 0.0),
-                       Orientation(*polarization), 300.0, 40)
-    calls = _count_transforms(monkeypatch)
-    _lag_terms(*line._lattice, line.orientations_array(), line.weights_array())
-    assert calls == {"fftn": [(80,)] * forward, "ifftn": [(80,)] * inverse}
+def test_lag_terms_transform_only_live_components(axis, polarization, forward, inverse):
+    # 40 cells pad 79 lags to 80: an inverse correlation per live component along
+    # the line's frame axis and pair of them, plus one for the summed power across it
+    line = line_source(Position(0.0, 0.0, 0.0), Orientation.from_vector(*axis),
+                       Orientation.from_vector(*polarization), 300.0, 40)
+    assert _lag_transforms(line) == {"forward": [(80,)] * forward,
+                                     "inverse": [(80,)] * inverse}
 
 
-def test_lag_terms_skip_one_cell_axes(monkeypatch):
+def test_lag_terms_of_a_tilted_slab_take_four_correlations():
+    # xx, xy and yy in the plane, and z across it: 3 forward transforms, 4 correlations
+    grid = SamplingGrid((-200.0, -200.0, 0.0), (200.0, 200.0, 0.0), (40, 40, 1))
+    slab = sampled_source(lambda r: cmath.exp(0.01j * (r.x + 2.0 * r.y)),
+                          lambda r: Orientation.from_vector(1.0, r.x / 400.0, 0.3), grid)
+    assert _lag_transforms(slab) == {"forward": [(80, 80)] * 3, "inverse": [(80, 80)] * 4}
+
+
+def test_lag_terms_skip_one_cell_axes():
     # cells (6, 1, 5): lags 11 -> 12 along x and 9 along z; y is not transformed
     grid = SamplingGrid((0.0, 0.0, 0.0), (60.0, 10.0, 50.0), (6, 1, 5))
     slab = sampled_source(lambda r: 1.0, lambda r: Orientation(0.0, 0.0, 1.0), grid)
-    calls = _count_transforms(monkeypatch)
-    _lag_terms(*slab._lattice, slab.orientations_array(), slab.weights_array())
-    assert calls == {"fftn": [(12, 9)], "ifftn": [(12, 9)]}
+    assert _lag_transforms(slab) == {"forward": [(12, 9)], "inverse": [(12, 9)]}
 
 
 def test_homogeneous_forms_memory_on_a_40x40_slab():
