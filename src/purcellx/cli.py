@@ -68,7 +68,10 @@ def _req(mapping, key, path):
 def _number(value, path, positive=False, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an int too large for a float
+        v = math.inf
     if not math.isfinite(v):
         raise ConfigError(path, "must be finite")
     if positive and v <= 0:
@@ -110,7 +113,7 @@ def _polarized_point(spec, path) -> PolarizedPoint:
 
 def _complex_amplitude(value, path) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
+        return complex(_number(value, path), 0.0)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
     raise ConfigError(path, f"expected a number or [re, im] pair, got {value!r}")

@@ -108,6 +108,16 @@ def _require_k(k) -> None:
         _require_positive("wavenumber", float(value))
 
 
+def _require_k_grid(k_grid) -> np.ndarray:
+    """``k_grid`` as a float array; raise unless it is a non-empty 1-D array of
+    finite, positive wavenumbers."""
+    k_grid = np.asarray(k_grid, dtype=float)
+    if k_grid.ndim != 1 or k_grid.size == 0:
+        raise InvalidArgumentError("k grid must be a non-empty 1D array")
+    _require_k(k_grid)
+    return k_grid
+
+
 def _require_count(name: str, value) -> int:
     """``value`` as an int >= 1; booleans, fractional, non-finite and non-numeric values raise."""
     try:

@@ -20,6 +20,7 @@ from .core import (
     Wavenumber,
     _require_at_least,
     _require_k,
+    _require_k_grid,
     _two_point,
 )
 from .sources import ExtendedSource
@@ -155,21 +156,24 @@ class HomogeneousGreens:
                             zeros)
 
     def forms(self, src: ExtendedSource, k_grid) -> np.ndarray:
-        """The values ``w^H rho(k) w`` of a source over a wavenumber grid.
+        """The values ``w^H rho(k) w`` of a source over a non-empty 1-D wavenumber grid.
 
         The k-free terms are built once: over the distinct separations of a
-        lattice source (:func:`_lag_terms`), or over its pairs
-        (:func:`_pair_terms`) when the source has no lattice or has fewer
-        pairs than lags.  The terms then cost the radial factors and one sum
-        per k, taken in blocks of at most ``_BLOCK`` elements
-        (:func:`_blocked_sums`), so memory does not grow with the grid.  A k's
-        value does not depend on the other points of the grid.
+        lattice source (:func:`_lag_terms`) when its lattice has strictly
+        fewer lags than the source has pairs, and otherwise over its pairs
+        (:func:`_pair_terms`), so a point, a pair and a two-element line take
+        their 1-3 pair terms with no transform.  The terms then cost the
+        radial factors and one sum per k, taken in blocks of at most
+        ``_BLOCK`` elements (:func:`_blocked_sums`), so memory does not grow
+        with the grid.  A k's value does not depend on the other points of
+        the grid.
         """
-        k_grid = np.asarray(k_grid, dtype=float)
-        _require_k(k_grid)
+        k_grid = _require_k_grid(k_grid)
         m = len(src)
         lattice = src._lattice
-        if lattice is not None and np.prod(2 * np.ptp(lattice[1], axis=0) + 1) <= m * (m + 1) // 2:
+        # the extent of a (3, M) copy: numpy reduces an (M, 3) array slowly along M
+        if lattice is not None and \
+                np.prod(2 * np.ptp(lattice[1].T.copy(), axis=1) + 1) < m * (m + 1) // 2:
             r, alpha, beta = _lag_terms(*lattice, src.orientations_array(), src.weights_array())
             chunks = ((r[s:s + _BLOCK], alpha[s:s + _BLOCK], beta[s:s + _BLOCK])
                       for s in range(0, r.size, _BLOCK))
@@ -230,27 +234,19 @@ def _fast_length(m: int) -> int:
 def _lattice_frame(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An orthonormal frame fitted to a lattice, and the lattice's steps in it.
 
-    Gram-Schmidt, taken twice, over the rows of ``steps`` and then over the
-    coordinate axes gives the rows ``e_c`` of the (3, 3) frame: the first ``d``
-    span the steps, the others their complement.  A vector whose rest is at
-    most 1e-9 of its length, such as a zero step, adds no row.  Returns the
-    frame and the (len(steps), d) coordinates ``s_a.e_c`` of the steps.  Steps
-    along distinct coordinate axes give those axes exactly, so their
-    coordinates are exact and diagonal.
+    The Q factor of the Householder QR factorisation of the (3, d + 3) matrix
+    of the d unit steps, then the coordinate axes, gives the rows ``e_c`` of
+    the (3, 3) frame: the first d span the steps, the others their
+    complement.  Returns the frame and the (d, d) coordinates ``s_a.e_c`` of
+    the steps; a zero step has zero coordinates.  A reflection of a column
+    already on its axis is the identity, and one of a unit column onto an
+    axis swaps two axes with a sign, so steps along distinct coordinate axes
+    give those axes exactly, up to sign, and exact diagonal coordinates.  The
+    steps are made unit for that: ``s * (1/s)`` need not be 1.
     """
-    frame, span = [], 0
-    for i, v in enumerate([*steps.tolist(), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]):
-        rest = v
-        for _ in range(2):
-            for e in frame:
-                dot = sum(x * y for x, y in zip(rest, e))
-                rest = [x - dot * y for x, y in zip(rest, e)]
-        norm = math.sqrt(sum(x * x for x in rest))
-        if len(frame) < 3 and norm > 1e-9 * math.sqrt(sum(x * x for x in v)):
-            frame.append([x / norm for x in rest])
-            span += i < len(steps)
-    frame = np.array(frame)
-    return frame, steps @ frame[:span].T
+    norm = np.linalg.norm(steps, axis=1, keepdims=True)
+    q = np.linalg.qr(np.vstack([steps / np.where(norm > 0.0, norm, 1.0), np.eye(3)]).T)[0]
+    return q.T, steps @ q[:, :len(steps)]
 
 
 def _lag_terms(steps: np.ndarray, cells: np.ndarray, orientations: np.ndarray,
@@ -266,11 +262,11 @@ def _lag_terms(steps: np.ndarray, cells: np.ndarray, orientations: np.ndarray,
     and r comes out strictly ascending.
 
     The components ``a_ip`` are taken in the lattice's own frame
-    (:func:`_lattice_frame`): ``d`` of them in the span of the steps, the rest
-    across it.  ``R^_L`` lies in the span, so ``beta`` needs only the
-    symmetric correlations ``Re(C_pq + C_qp)/2``, p <= q, inside it, and
-    ``alpha`` adds to their diagonal the components across it as one summed
-    power ``sum_p |S_p|^2``.  Only the live components, those with
+    (:func:`_lattice_frame`): one per transformed axis in the span of the
+    steps, the rest across it.  ``R^_L`` lies in the span, so ``beta`` needs
+    only the symmetric correlations ``Re(C_pq + C_qp)/2``, p <= q, inside it,
+    and ``alpha`` adds to their diagonal the components across it as one
+    summed power ``sum_p |S_p|^2``.  Only the live components, those with
     ``a_ip != 0`` for some i, are transformed and correlated: at most 3
     forward transforms, and 2 inverse correlations for a line, 4 for a plane
     and 6 for a volume.
@@ -278,29 +274,30 @@ def _lag_terms(steps: np.ndarray, cells: np.ndarray, orientations: np.ndarray,
     An axis of ``n > 1`` cells is padded to :func:`_fast_length` ``(2n - 1)``,
     which holds the lags ``-(n-1)..(n-1)`` with no wrap-around, and is
     transformed on its own, so that no axis transforms another's zero padding;
-    an axis of one cell is not transformed.  The correlations are real and
-    even in L, so all of them come from one batched real transform,
-    ``Re ifftn(X) = Re rfftn(X, norm="forward")``, which keeps the lags
-    ``0..n-1`` of the last transformed axis: a nonzero lag there stands for L
-    and -L.
+    an axis of one cell is not transformed, but a lattice of one cell
+    transforms axis 0 at length 1, so it takes the same path.  The
+    correlations are real and even in L, so all of them come from one batched
+    real transform, ``Re ifftn(X) = Re rfftn(X, norm="forward")``, which keeps
+    the lags ``0..n-1`` of the last transformed axis: a nonzero lag there
+    stands for L and -L.
     """
     # (3, M): the reductions run along the contiguous last axis
     index = cells.T.copy()
     index -= index.min(axis=1, keepdims=True)
     n = (index.max(axis=1) + 1).tolist()
-    axes = [axis for axis in range(3) if n[axis] > 1]
+    # a lattice of one cell transforms axis 0, at length 1
+    axes = [axis for axis in range(3) if n[axis] > 1] or [0]
     n = [n[axis] for axis in axes]
     frame, coords = _lattice_frame(steps[axes])
-    span = coords.shape[1]
-    pairs, c = _correlations((frame @ orientations.T) * weights, index[axes], n, span)
+    pairs, c = _correlations((frame @ orientations.T) * weights, index[axes], n)
     # the lags kept, in FFT order along each axis: 0..n-1, then -(n-1)..-1;
     # the last axis keeps 0..n-1
-    lags = [np.r_[0:m, 1 - m:0] for m in n[:-1]] + [np.arange(m) for m in n[-1:]]
-    c = c[(slice(None), *np.ix_(*lags[:-1]), *map(slice, n[-1:]))]
+    lags = [np.r_[0:m, 1 - m:0] for m in n[:-1]] + [np.arange(n[-1])]
+    c = c[(slice(None), *np.ix_(*lags[:-1]), slice(n[-1]))]
     lags = np.ix_(*lags)
     # the lag's coordinates in the span, broadcast from the 1-D lags of each axis
     pos = [sum(lag * coords[axis, e] for axis, lag in enumerate(lags) if coords[axis, e])
-           for e in range(span)]
+           for e in range(len(n))]
     r = np.sqrt(sum((p * p for p in pos), np.zeros(c.shape[1:])))
     inv = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0.0)
     unit = [p * inv for p in pos]
@@ -310,21 +307,20 @@ def _lag_terms(steps: np.ndarray, cells: np.ndarray, orientations: np.ndarray,
     beta = np.zeros_like(r)
     for i, (p, q) in enumerate(pairs):
         beta += (1.0 if p == q else 2.0) * unit[p] * unit[q] * c[i]
-    if n:
-        twice = np.where(lags[-1] > 0, 2.0, 1.0)
-        alpha *= twice
-        beta *= twice
+    twice = np.where(lags[-1] > 0, 2.0, 1.0)
+    alpha *= twice
+    beta *= twice
     r, term = np.unique(r.ravel(), return_inverse=True)
     return r, np.bincount(term, alpha.ravel(), r.size), np.bincount(term, beta.ravel(), r.size)
 
 
-def _correlations(a: np.ndarray, index: np.ndarray, n: list, span: int):
+def _correlations(a: np.ndarray, index: np.ndarray, n: list):
     """The correlations :func:`_lag_terms` needs, over the lags of the padded grid.
 
     ``a`` holds the (3, M) components in the lattice's frame, the first
-    ``span`` of them in the span of its steps, and ``index`` the cells along
+    ``len(n)`` of them in the span of its steps, and ``index`` the cells along
     the transformed axes, of ``n`` cells each.  Returns the pairs ``(p, q)``,
-    p <= q < span, of live components and the correlation rows: one
+    p <= q < len(n), of live components and the correlation rows: one
     ``Re(C_pq + C_qp)/2`` per pair, then, if a live component lies across the
     span, one ``sum_p Re C_pp`` over those components.  Each live component
     is transformed in one zero-padded buffer, axis by axis from the last and
@@ -333,12 +329,11 @@ def _correlations(a: np.ndarray, index: np.ndarray, n: list, span: int):
     lags ``0..fast/2`` of the last axis.
     """
     live = np.flatnonzero((a != 0.0).any(axis=1)).tolist()
-    pairs = [(p, q) for p in live for q in live if p <= q < span]
-    across = [p for p in live if p >= span]
+    pairs = [(p, q) for p in live for q in live if p <= q < len(n)]
+    across = [p for p in live if p >= len(n)]
     fast = [_fast_length(2 * m - 1) for m in n]
     spectrum = np.zeros((len(live), *fast), dtype=complex)
-    # with no axis to transform, the source is one element
-    spectrum[(slice(None), *index)] = a[live] if n else a[live, 0]
+    spectrum[(slice(None), *index)] = a[live]
     for axis in reversed(range(len(n))):
         # the axes before this one still hold their cells only
         data = spectrum[(slice(None), *map(slice, n[:axis]))]
@@ -351,8 +346,6 @@ def _correlations(a: np.ndarray, index: np.ndarray, n: list, span: int):
         x[-1] = sum((s[p].conj() * s[p]).real for p in across)
     # only X is needed from here: the inverse transform's buffer may take the spectra's place
     del a, spectrum, s
-    if not n:
-        return pairs, x
     out = np.empty((*x.shape[:-1], fast[-1] // 2 + 1), dtype=complex)
     return pairs, np.fft.rfftn(x, axes=range(1, x.ndim), norm="forward", out=out).real
 

@@ -40,6 +40,7 @@ from .core import (
     Orientation,
     Wavenumber,
     _require_k,
+    _require_k_grid,
     _require_positive,
     _two_point,
     wavelength_to_k,
@@ -98,50 +99,48 @@ class LossyMode(_PoleMode):
         return self.gamma_m > self.k_m / 10.0
 
 
-def _outer(v: np.ndarray):
-    return v[:, None], v
+def _pole_sum(model, positions: np.ndarray, orientations: np.ndarray, k, weight):
+    """Pole expansion: the complex ``sum_m weight(v_m) / (k_m - i g_m/2 - k)``.
 
-
-def _pole_sum(model, positions: np.ndarray, orientations: np.ndarray, k, weight, pair=_outer):
-    """Pole expansion: the complex ``sum_m weight(x_m, y_m) / (k_m - i g_m/2 - k)``.
-
-    With ``v_m`` mode m's field on the M polarized points, ``pair(v_m)`` is
-    ``(x_m, y_m)``: by default the (M, M) outer product ``v_m v_m^T``, and
-    ``(v_m, v_m)`` for its diagonal.  Given source weights ``w``, ``x_m = w^H
-    v_m`` and ``y_m = v_m^T w`` instead, and over a k grid ``Im(sum)/pi`` is
-    ``w^H rho(k) w``.  The model class states the weight.
+    ``v_m`` is mode m's field on the M polarized points and ``weight(v_m)``
+    its weight ``Z_m``, built from the model class's ``_cross`` or ``_form``:
+    ``_cross`` over the (M, M) outer product ``v_m v_m^T``, over its diagonal
+    or between two points, and, given source weights ``w``,
+    ``_form(w^H v_m, v_m^T w)``, whose ``Im(sum)/pi`` over a k grid is
+    ``w^H rho(k) w``.
     """
     _require_k(k)
     total = 0.0
     for mode in model.structured_modes():
-        x, y = pair(projected_field_many(mode.field, positions, orientations))
-        total = total + weight(x, y) * (1.0 / (complex(mode.k_m, -0.5 * mode.gamma_m) - k))
+        z = weight(projected_field_many(mode.field, positions, orientations))
+        total = total + z * (1.0 / (complex(mode.k_m, -0.5 * mode.gamma_m) - k))
     return total
 
 
 def _pole_matrix(model, positions: np.ndarray, orientations: np.ndarray,
                  k: Wavenumber) -> np.ndarray:
     """The (M, M) CDOS matrix of a pole model over M polarized points."""
-    return _pole_sum(model, positions, orientations, k, model._cross).imag / math.pi
+    return _pole_sum(model, positions, orientations, k,
+                     lambda v: model._cross(v[:, None], v)).imag / math.pi
 
 
 def _pole_ldos(model, positions: np.ndarray, orientations: np.ndarray,
                k: Wavenumber) -> np.ndarray:
     """The diagonal of :func:`_pole_matrix` in O(M): the projected LDOS at each point."""
-    diagonal = _pole_sum(model, positions, orientations, k, model._cross, lambda v: (v, v))
+    diagonal = _pole_sum(model, positions, orientations, k, lambda v: model._cross(v, v))
     return diagonal.imag / math.pi
 
 
 def _pole_forms(model, src: ExtendedSource, k_grid) -> np.ndarray:
-    """The values ``w^H rho(k) w`` of a source over a wavenumber grid.
+    """The values ``w^H rho(k) w`` of a source over a non-empty 1-D wavenumber grid.
 
     Each mode's field is projected on the source once; the grid then costs
     one pole per mode and k, with no M x M array.
     """
     w = src.weights_array()
     return _pole_sum(model, src.positions_array(), src.orientations_array(),
-                     np.asarray(k_grid, dtype=float), model._form,
-                     lambda v: (np.vdot(w, v), v @ w)).imag / math.pi
+                     _require_k_grid(k_grid),
+                     lambda v: model._form(np.vdot(w, v), v @ w)).imag / math.pi
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .core import (
     Wavenumber,
     _point_arrays,
     _require_finite,
+    _require_k_grid,
     _require_positive,
     _two_point,
 )
@@ -110,8 +111,8 @@ def green_qnm_projected(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
     fields ``u_a.E(r_a)`` and ``u_b.E(r_b)``, so ``(2k/pi) Im`` of it is
     :func:`cdos_qnm`.
     """
-    pole_sum = _pole_sum(pair, *_point_arrays(a, b), k, pair._cross)
-    return complex(pole_sum[0, 1]) / (2.0 * k)
+    pole_sum = _pole_sum(pair, *_point_arrays(a, b), k, lambda v: pair._cross(*v))
+    return complex(pole_sum) / (2.0 * k)
 
 
 cdos_qnm = _two_point
@@ -268,12 +269,11 @@ def mean_q_report(pair: ModeSet | QnmPair, a: PolarizedPoint, b: PolarizedPoint,
     ``max_rel_dev_mean`` is ``nan``.  Intended for diagnostic output, not
     assertions.
     """
-    k_grid = np.asarray(k_grid, dtype=float)
-    if k_grid.ndim != 1 or k_grid.size == 0:
-        raise InvalidArgumentError("k grid must be a non-empty 1D array")
+    k_grid = _require_k_grid(k_grid)
     live = _decompose(pair, a, b)
-    # the (a, b) entry of the CDOS matrix, (x, y) = (z_a, z_b): each mode projected once
-    direct = _pole_sum(pair, *_point_arrays(a, b), k_grid, pair._cross, tuple).imag / math.pi
+    # the (a, b) entry of the CDOS matrix from the fields (z_a, z_b): each mode projected once
+    direct = _pole_sum(pair, *_point_arrays(a, b), k_grid,
+                       lambda v: pair._cross(*v)).imag / math.pi
     scale = float(np.max(np.abs(direct))) or 1.0
     half = reconstruct_cdos(pair, [term for term, _, _ in live], k_grid)
     mean_dev = math.nan

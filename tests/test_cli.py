@@ -327,6 +327,9 @@ CONFIG_ERRORS = [
     (POINT_SPECTRUM, {f"{_MODE}.lambda_m_nm": -1270.0}, f"{_MODE_PATH}.lambda_m_nm"),
     (POINT_SPECTRUM, {"source.kind": "bogus"}, "source.kind"),
     (POINT_SPECTRUM, {"source.amplitude": 0.0}, "source.amplitude"),
+    # integers too large for a float
+    (POINT_SPECTRUM, {"environment": {"kind": "homogeneous", "n": 10**400}}, "environment.n"),
+    (POINT_SPECTRUM, {"source.amplitude": 10**400}, "source.amplitude"),
     (POINT_SPECTRUM, {"source.position": [0.0, "x", 0.0]}, "source.position[1]"),
     (POINT_SPECTRUM, {"source.position": [math.nan, 0.0, 0.0]}, "source.position[0]"),
     (POINT_SPECTRUM, {"source": {"kind": "pair", "a": _ENDPOINT}}, "source.b"),

@@ -1,9 +1,13 @@
-"""Every name a module exports in ``__all__`` resolves, and every name the bench reads or wraps."""
+"""Every name a module exports in ``__all__`` resolves, every name the bench reads or wraps,
+and the package runs on its declared dependencies alone."""
 
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -19,6 +23,36 @@ def test_all_names_resolve(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+#: Top-level packages of the test extras, which no package module may import.
+TEST_ONLY = ("scipy", "mpmath", "hypothesis", "pytest")
+
+_RUNTIME_SCRIPT = textwrap.dedent("""
+    import importlib, pkgutil, sys
+    import numpy as np
+    import purcellx
+    from purcellx import (CompositeGreens, HomogeneousGreens, ModeSet, Orientation, Position,
+                          cli, line_source, surrogate_l3, sweep_spectrum)
+    for module in pkgutil.iter_modules(purcellx.__path__, "purcellx."):
+        importlib.import_module(module.name)
+    mode = surrogate_l3()
+    line = line_source(Position(0.0, 0.0, 0.0), Orientation(1.0, 0.0, 0.0),
+                       Orientation(0.0, 1.0, 0.0), 300.0, 20)
+    sweep_spectrum(line, CompositeGreens(HomogeneousGreens(1.0), ModeSet((mode,))),
+                   HomogeneousGreens(1.0), mode.k_m * np.linspace(0.999, 1.001, 5))
+    assert cli.run_checks() == 0
+    print(sorted({name.split(".")[0] for name in sys.modules} & set(sys.argv[1:])))
+""")
+
+
+def test_runtime_dependencies_are_numpy_and_pyyaml():
+    # a fresh interpreter: this process has the test extras loaded already
+    src = pathlib.Path(importlib.import_module("purcellx").__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", _RUNTIME_SCRIPT, *TEST_ONLY],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_bench_trace_hooks_install_and_restore(monkeypatch):

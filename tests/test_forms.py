@@ -33,6 +33,7 @@ from purcellx import (
     ExtendedSource,
     GridField,
     HomogeneousGreens,
+    InvalidArgumentError,
     LossyMode,
     ModeSet,
     Orientation,
@@ -334,12 +335,15 @@ def test_lag_terms_are_the_distinct_separations(shape, steps):
         assert r.size == 653
 
 
-def test_lag_terms_of_a_line_are_its_separations():
-    # 37 elements 8 nm apart: one term at each L * 8 nm, L = 0..36
-    line = line_source(Position(0.0, 0.0, 0.0), Orientation(1.0, 0.0, 0.0),
-                       Orientation(0.0, 1.0, 0.0), 36 * 8.0, 37)
+@pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                  (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])
+@pytest.mark.parametrize("step", [8.0, 49.0])  # 49 * (1 / 49) is not 1 in doubles
+def test_lag_terms_of_a_line_are_its_separations(axis, step):
+    # 37 elements step nm apart: one term at each L * step, L = 0..36, exact along every axis
+    line = line_source(Position(0.0, 0.0, 0.0), Orientation(*axis),
+                       Orientation(0.0, 1.0, 0.0), 36 * step, 37)
     r, _, _ = _lag_terms(*line._lattice, line.orientations_array(), line.weights_array())
-    assert r.tolist() == [8.0 * lag for lag in range(37)]
+    assert r.tolist() == [step * lag for lag in range(37)]
 
 
 def test_fast_length_is_the_next_2_3_5_smooth_length():
@@ -430,6 +434,42 @@ def test_lag_terms_skip_one_cell_axes():
     grid = SamplingGrid((0.0, 0.0, 0.0), (60.0, 10.0, 50.0), (6, 1, 5))
     slab = sampled_source(lambda r: 1.0, lambda r: Orientation(0.0, 0.0, 1.0), grid)
     assert _lag_transforms(slab) == {"forward": [(12, 9)], "inverse": [(12, 9)]}
+
+
+def test_lag_terms_of_one_cell_transform_one_axis_of_length_1():
+    # a point is a lattice of one cell: the general path, at length 1
+    point = point_source(PolarizedPoint(Position(5.0, -3.0, 2.0), Orientation(0.0, 0.0, 1.0)),
+                         0.3 - 1.2j)
+    assert _lag_transforms(point) == {"forward": [(1,)], "inverse": [(1,)]}
+
+
+@pytest.mark.parametrize("make", [
+    lambda a, b: point_source(a, 0.7 + 0.2j),
+    lambda a, b: pair_source(a, b, 1.3, 0.4),
+    lambda a, b: line_source(a.position, Orientation(0.6, 0.0, 0.8), a.orientation, 250.0, 2),
+], ids=["point", "pair", "two-element line"])
+def test_sources_with_no_fewer_lags_than_pairs_take_pair_terms(make):
+    rng = np.random.default_rng(17)
+    src = make(_random_point(rng), _random_point(rng))
+    env = HomogeneousGreens(1.5)
+    k_grid = np.sort(rng.uniform(0.001, 0.03, 4))
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in _TRANSFORMS:
+            patch.setattr(np.fft, name, lambda *args, _name=name, **kwargs: calls.append(_name))
+        env.forms(src, k_grid)
+    assert calls == []
+    _assert_lattice_forms_match_dense_double_sum(src, env, k_grid)
+
+
+@pytest.mark.parametrize("model", ["homogeneous", "modes", "qnm", "composite"])
+@pytest.mark.parametrize("k_grid", [0.005, [[0.004, 0.005]], []], ids=["scalar", "2-D", "empty"])
+def test_forms_take_a_non_empty_1d_grid(model, k_grid):
+    env, _, _ = _model(np.random.default_rng(3), model, ("surrogate", "grid"))
+    line = line_source(Position(0.0, 0.0, 0.0), Orientation(1.0, 0.0, 0.0),
+                       Orientation(0.0, 1.0, 0.0), 200.0, 5)
+    with pytest.raises(InvalidArgumentError, match="k grid must be a non-empty 1D array"):
+        env.forms(line, k_grid)
 
 
 def test_homogeneous_forms_memory_on_a_40x40_slab():
