@@ -162,19 +162,27 @@ class HomogeneousGreens:
         lattice source (:func:`_lag_terms`) when its lattice has strictly
         fewer lags than the source has pairs, and otherwise over its pairs
         (:func:`_pair_terms`), so a point, a pair and a two-element line take
-        their 1-3 pair terms with no transform.  The terms then cost the
-        radial factors and one sum per k, taken in blocks of at most
-        ``_BLOCK`` elements (:func:`_blocked_sums`), so memory does not grow
-        with the grid.  A k's value does not depend on the other points of
-        the grid.
+        their 1-3 pair terms with no transform.  The first call decides
+        between the two and keeps a lattice source's table, read-only, on the
+        source, so every later call, at any index n, starts from it with no
+        transform.  The terms then cost the radial factors and one sum per k,
+        taken in blocks of at most ``_BLOCK`` elements (:func:`_blocked_sums`),
+        so memory does not grow with the grid.  A k's value does not depend on
+        the other points of the grid.
         """
         k_grid = _require_k_grid(k_grid)
-        m = len(src)
-        lattice = src._lattice
-        # the extent of a (3, M) copy: numpy reduces an (M, 3) array slowly along M
-        if lattice is not None and \
-                np.prod(2 * np.ptp(lattice[1].T.copy(), axis=1) + 1) < m * (m + 1) // 2:
-            r, alpha, beta = _lag_terms(*lattice, src.orientations_array(), src.weights_array())
+        if src._terms is None:
+            # () marks a source that takes its pair terms, made anew at each call
+            terms, m, lattice = (), len(src), src._lattice
+            # the extent of a (3, M) copy: numpy reduces an (M, 3) array slowly along M
+            if lattice is not None and \
+                    np.prod(2 * np.ptp(lattice[1].T.copy(), axis=1) + 1) < m * (m + 1) // 2:
+                terms = _lag_terms(*lattice, src.orientations_array(), src.weights_array())
+                for array in terms:
+                    array.flags.writeable = False
+            object.__setattr__(src, "_terms", terms)
+        if src._terms:
+            r, alpha, beta = src._terms
             chunks = ((r[s:s + _BLOCK], alpha[s:s + _BLOCK], beta[s:s + _BLOCK])
                       for s in range(0, r.size, _BLOCK))
         else:
