@@ -19,11 +19,7 @@ points of the grid, so a sweep agrees bitwise with :func:`decay_rate`.
 incoherent sum from each model's per-point LDOS, ``ldos_many``.  No function
 here builds the M x M ``cdos_matrix``: a homogeneous sum costs its terms
 (distinct separations of a lattice, or pairs) x K in blocks of bounded size,
-and a pole sum modes x (M + K).  A lattice source keeps its table of
-separations from the first homogeneous ``forms`` call on it, so a reference
-of another index, a later sweep or a classification of the same source
-makes no second FFT correlation; :func:`sweep_length` builds a new source at
-each length and keeps nothing between them.
+and a pole sum modes x (M + K).
 """
 
 from __future__ import annotations

@@ -162,27 +162,19 @@ class HomogeneousGreens:
         lattice source (:func:`_lag_terms`) when its lattice has strictly
         fewer lags than the source has pairs, and otherwise over its pairs
         (:func:`_pair_terms`), so a point, a pair and a two-element line take
-        their 1-3 pair terms with no transform.  The first call decides
-        between the two and keeps a lattice source's table, read-only, on the
-        source, so every later call, at any index n, starts from it with no
-        transform.  The terms then cost the radial factors and one sum per k,
-        taken in blocks of at most ``_BLOCK`` elements (:func:`_blocked_sums`),
-        so memory does not grow with the grid.  A k's value does not depend on
-        the other points of the grid.
+        their 1-3 pair terms with no transform.  The terms then cost the
+        radial factors and one sum per k, taken in blocks of at most
+        ``_BLOCK`` elements (:func:`_blocked_sums`), so memory does not grow
+        with the grid.  A k's value does not depend on the other points of
+        the grid.
         """
         k_grid = _require_k_grid(k_grid)
-        if src._terms is None:
-            # () marks a source that takes its pair terms, made anew at each call
-            terms, m, lattice = (), len(src), src._lattice
-            # the extent of a (3, M) copy: numpy reduces an (M, 3) array slowly along M
-            if lattice is not None and \
-                    np.prod(2 * np.ptp(lattice[1].T.copy(), axis=1) + 1) < m * (m + 1) // 2:
-                terms = _lag_terms(*lattice, src.orientations_array(), src.weights_array())
-                for array in terms:
-                    array.flags.writeable = False
-            object.__setattr__(src, "_terms", terms)
-        if src._terms:
-            r, alpha, beta = src._terms
+        m = len(src)
+        lattice = src._lattice
+        # the extent of a (3, M) copy: numpy reduces an (M, 3) array slowly along M
+        if lattice is not None and \
+                np.prod(2 * np.ptp(lattice[1].T.copy(), axis=1) + 1) < m * (m + 1) // 2:
+            r, alpha, beta = _lag_terms(*lattice, src.orientations_array(), src.weights_array())
             chunks = ((r[s:s + _BLOCK], alpha[s:s + _BLOCK], beta[s:s + _BLOCK])
                       for s in range(0, r.size, _BLOCK))
         else:
@@ -335,26 +327,38 @@ def _correlations(a: np.ndarray, index: np.ndarray, n: list):
     only over the cells that hold data on the axes not yet transformed; all
     rows of ``X = Re(conj(S_p) S_q)`` then take one ``rfftn``, which keeps the
     lags ``0..fast/2`` of the last axis.
+
+    The spectra and X share one buffer, and the transform's output takes the
+    spectra's place in it.  glibc gives back the top of its heap once more
+    than its trim threshold is free there, and sets that threshold to twice
+    the largest mapped block freed so far.  Separate arrays freed more than
+    that at each call, and the next call faulted the pages in again (about
+    150 page faults on a 40 x 40 slab); one buffer of their joint size sets
+    the threshold above a call's use, so repeated calls reuse the same pages.
     """
     live = np.flatnonzero((a != 0.0).any(axis=1)).tolist()
     pairs = [(p, q) for p in live for q in live if p <= q < len(n)]
     across = [p for p in live if p >= len(n)]
     fast = [_fast_length(2 * m - 1) for m in n]
-    spectrum = np.zeros((len(live), *fast), dtype=complex)
+    half = [*fast[:-1], fast[-1] // 2 + 1]
+    size, rows = math.prod(fast), len(pairs) + bool(across)
+    # complex slots: the spectra or the output, whichever is larger, then X's floats
+    head = max(len(live) * size, rows * math.prod(half))
+    work = np.empty(head + (rows * size + 1) // 2, dtype=complex)
+    spectrum = work[:len(live) * size].reshape(len(live), *fast)
+    spectrum.fill(0.0)
     spectrum[(slice(None), *index)] = a[live]
     for axis in reversed(range(len(n))):
         # the axes before this one still hold their cells only
         data = spectrum[(slice(None), *map(slice, n[:axis]))]
         np.fft.fft(data, fast[axis], axis=1 + axis, out=data)
+    x = work[head:].view(float)[:rows * size].reshape(rows, *fast)
     s = dict(zip(live, spectrum))
-    x = np.empty((len(pairs) + bool(across), *fast))
     for i, (p, q) in enumerate(pairs):
         x[i] = (s[p].conj() * s[q]).real
     if across:
         x[-1] = sum((s[p].conj() * s[p]).real for p in across)
-    # only X is needed from here: the inverse transform's buffer may take the spectra's place
-    del a, spectrum, s
-    out = np.empty((*x.shape[:-1], fast[-1] // 2 + 1), dtype=complex)
+    out = work[:rows * math.prod(half)].reshape(rows, *half)
     return pairs, np.fft.rfftn(x, axes=range(1, x.ndim), norm="forward", out=out).real
 
 

@@ -107,8 +107,9 @@ def _pole_sum(model, positions: np.ndarray, orientations: np.ndarray, k, weight)
     ``_cross`` over the (M, M) outer product ``v_m v_m^T``, over its diagonal
     or between two points, and, given source weights ``w``,
     ``_form(w^H v_m, v_m^T w)``, whose ``Im(sum)/pi`` over a k grid is
-    ``w^H rho(k) w``.  The caller checks ``k``, once.
+    ``w^H rho(k) w``.
     """
+    _require_k(k)
     total = 0.0
     for mode in model.structured_modes():
         z = weight(projected_field_many(mode.field, positions, orientations))
@@ -119,7 +120,6 @@ def _pole_sum(model, positions: np.ndarray, orientations: np.ndarray, k, weight)
 def _pole_matrix(model, positions: np.ndarray, orientations: np.ndarray,
                  k: Wavenumber) -> np.ndarray:
     """The (M, M) CDOS matrix of a pole model over M polarized points."""
-    _require_k(k)
     return _pole_sum(model, positions, orientations, k,
                      lambda v: model._cross(v[:, None], v)).imag / math.pi
 
@@ -127,7 +127,6 @@ def _pole_matrix(model, positions: np.ndarray, orientations: np.ndarray,
 def _pole_ldos(model, positions: np.ndarray, orientations: np.ndarray,
                k: Wavenumber) -> np.ndarray:
     """The diagonal of :func:`_pole_matrix` in O(M): the projected LDOS at each point."""
-    _require_k(k)
     diagonal = _pole_sum(model, positions, orientations, k, lambda v: model._cross(v, v))
     return diagonal.imag / math.pi
 

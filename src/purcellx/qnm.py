@@ -37,7 +37,6 @@ from .core import (
     Wavenumber,
     _point_arrays,
     _require_finite,
-    _require_k,
     _require_k_grid,
     _require_positive,
     _two_point,
@@ -112,7 +111,6 @@ def green_qnm_projected(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
     fields ``u_a.E(r_a)`` and ``u_b.E(r_b)``, so ``(2k/pi) Im`` of it is
     :func:`cdos_qnm`.
     """
-    _require_k(k)
     pole_sum = _pole_sum(pair, *_point_arrays(a, b), k, lambda v: pair._cross(*v))
     return complex(pole_sum) / (2.0 * k)
 

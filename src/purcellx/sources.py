@@ -72,20 +72,13 @@ class ExtendedSource:
     homogeneous kernel of a lattice source depends only on the lag between
     cells.  ``ExtendedSource(elements, reference)`` builds a source, without a
     lattice, from :class:`DipoleElement` records; :attr:`elements` is a view of
-    the arrays, built on first use.  A lattice source with fewer lags than
-    pairs also keeps its table of k-free homogeneous terms, one per distinct
-    separation and at most three floats per lag: the first
-    :meth:`HomogeneousGreens.forms <purcellx.homogeneous.HomogeneousGreens.forms>`
-    call builds it, and every later one, at any index n, reads it.  Equality
-    and hashing ignore the lattice and the table, and copies and pickles start
-    without the table.
+    the arrays, built on first use.  Equality and hashing ignore the lattice.
     """
 
     reference: Position
     _arrays: tuple = field(repr=False)
     _lattice: tuple | None = field(repr=False)
     _elements: tuple | None = field(repr=False)
-    _terms: tuple | None = field(repr=False)
 
     def __init__(self, elements, reference):
         elements = tuple(elements)
@@ -114,8 +107,7 @@ class ExtendedSource:
         return hash((self.reference, tuple(self._arrays[2].tolist())))
 
     def __reduce__(self):
-        # copies and pickles are rebuilt through the checks and read-only marking of a
-        # built source, and start without the term table
+        # copies and pickles are rebuilt through the checks and read-only marking of a built source
         return _source, (*self._arrays, self.reference, self._lattice)
 
     def __len__(self) -> int:
@@ -147,7 +139,7 @@ def _source(positions, orientations, weights, reference: Position, lattice=None,
         array.flags.writeable = False
     src = object.__new__(ExtendedSource) if src is None else src
     for name, value in (("reference", reference), ("_arrays", (positions, orientations, weights)),
-                        ("_lattice", lattice), ("_elements", None), ("_terms", None)):
+                        ("_lattice", lattice), ("_elements", None)):
         object.__setattr__(src, name, value)
     return src
 

@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -21,7 +20,6 @@ from purcellx import (
     SweepPointError,
     cdos,
     coherence_classification,
-    core,
     decay_rate,
     line_source,
     pair_source,
@@ -371,31 +369,6 @@ def test_sweep_reports_first_bad_wavenumber(grid, first):
     assert err.value.index == first
     assert isinstance(err.value.__cause__, InvalidArgumentError)
     assert str(err.value.__cause__) == f"wavenumber must be positive, got {grid[first]!r}"
-
-
-@pytest.mark.parametrize("reference", [VACUUM, HomogeneousGreens(3.48)],
-                         ids=["background", "other index"])
-@pytest.mark.parametrize("structured", ["modes", "qnm"])
-def test_a_composite_sweep_checks_its_grid_once_per_part(monkeypatch, structured, reference):
-    # once at the entry, where a bad point is named by index, then once in each
-    # distinct part's forms: the background, the structured part and a reference
-    # that is not the background
-    original = core._require_k
-    calls = []
-
-    def counting(k):
-        calls.append(np.size(k))
-        original(k)
-
-    for module in [m for name, m in sys.modules.items() if name.startswith("purcellx")]:
-        if getattr(module, "_require_k", None) is original:
-            monkeypatch.setattr(module, "_require_k", counting)
-    model = ModeSet((surrogate_l3(),)) if structured == "modes" else _complex_qnm_pair()
-    env = CompositeGreens(VACUUM, model)
-    src = line_source(Position(0, 0, 0), X, Y, d=300.0, n_elements=31, p=1.0)
-    k_m = model.structured_modes()[0].k_m
-    sweep_spectrum(src, env, reference, np.linspace(0.99 * k_m, 1.01 * k_m, 21))
-    assert calls == [21] * (3 if reference == VACUUM else 4)
 
 
 def test_sweep_errors_carry_point_index():

@@ -1,6 +1,5 @@
 import cmath
 import copy
-import dataclasses
 import math
 import pickle
 
@@ -383,40 +382,3 @@ def test_copies_keep_read_only_arrays_and_lattice(duplicate):
         else:
             assert all(np.array_equal(a, b) for a, b in zip(dup._lattice, src._lattice))
         assert np.array_equal(forms(dup, k_grid), forms(src, k_grid))
-
-
-def _phase_ramped_slab():
-    return sampled_source(lambda r: cmath.exp(0.02j * r.x),
-                          lambda r: Orientation.from_vector(1.0, r.y / 50.0, 0.3),
-                          SamplingGrid(lo=(0.0, 0.0, 0.0), hi=(60.0, 40.0, 0.0), shape=(6, 4, 1)))
-
-
-@pytest.mark.parametrize("duplicate", [lambda s: pickle.loads(pickle.dumps(s)), copy.copy,
-                                       copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
-def test_copies_start_without_the_term_table(duplicate):
-    slab = _phase_ramped_slab()
-    pickled = pickle.dumps(slab)
-    k_grid = np.linspace(0.004, 0.03, 5)
-    forms = HomogeneousGreens(1.5).forms(slab, k_grid)
-    assert len(slab._terms) == 3
-    # the table is not part of what a source is: not pickled, compared or hashed
-    assert pickle.dumps(slab) == pickled
-    assert slab == _phase_ramped_slab() and hash(slab) == hash(_phase_ramped_slab())
-    dup = duplicate(slab)
-    assert dup._terms is None
-    assert HomogeneousGreens(1.5).forms(dup, k_grid).tobytes() == forms.tobytes()
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(dup._terms, slab._terms))
-
-
-def test_the_term_table_is_read_only_and_the_source_frozen():
-    line = line_source(Position(5.0, -3.0, 0.0), X, Y, d=240.0, n_elements=9, p=1.5)
-    assert line._terms is None
-    HomogeneousGreens(2.0).forms(line, [0.005])
-    table = line._terms
-    assert len(table) == 3 and not any(array.flags.writeable for array in table)
-    with pytest.raises(ValueError, match="read-only"):
-        table[1][0] = 0.0
-    for name, value in (("_terms", None), ("reference", Position(0.0, 0.0, 0.0))):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(line, name, value)
-    assert line._terms is table
