@@ -231,24 +231,6 @@ def _fast_length(m: int) -> int:
         m += 1
 
 
-def _lattice_frame(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An orthonormal frame fitted to a lattice, and the lattice's steps in it.
-
-    The Q factor of the Householder QR factorisation of the (3, d + 3) matrix
-    of the d unit steps, then the coordinate axes, gives the rows ``e_c`` of
-    the (3, 3) frame: the first d span the steps, the others their
-    complement.  Returns the frame and the (d, d) coordinates ``s_a.e_c`` of
-    the steps; a zero step has zero coordinates.  A reflection of a column
-    already on its axis is the identity, and one of a unit column onto an
-    axis swaps two axes with a sign, so steps along distinct coordinate axes
-    give those axes exactly, up to sign, and exact diagonal coordinates.  The
-    steps are made unit for that: ``s * (1/s)`` need not be 1.
-    """
-    norm = np.linalg.norm(steps, axis=1, keepdims=True)
-    q = np.linalg.qr(np.vstack([steps / np.where(norm > 0.0, norm, 1.0), np.eye(3)]).T)[0]
-    return q.T, steps @ q[:, :len(steps)]
-
-
 def _lag_terms(steps: np.ndarray, cells: np.ndarray, orientations: np.ndarray,
                weights: np.ndarray):
     """``(r, alpha, beta)`` over the distinct separations r of a lattice source.
@@ -261,15 +243,15 @@ def _lag_terms(steps: np.ndarray, cells: np.ndarray, orientations: np.ndarray,
     only through ``r_L``, the lags of bitwise-equal r are merged into one term,
     and r comes out strictly ascending.
 
-    The components ``a_ip`` are taken in the lattice's own frame
-    (:func:`_lattice_frame`): one per transformed axis in the span of the
-    steps, the rest across it.  ``R^_L`` lies in the span, so ``beta`` needs
-    only the symmetric correlations ``Re(C_pq + C_qp)/2``, p <= q, inside it,
-    and ``alpha`` adds to their diagonal the components across it as one
-    summed power ``sum_p |S_p|^2``.  Only the live components, those with
+    The components ``a_ip`` are Cartesian.  ``R^_L`` lies in the span, the
+    coordinate axes the transformed steps reach, so ``beta`` needs only the
+    symmetric correlations ``Re(C_pq + C_qp)/2``, p <= q, inside it, and
+    ``alpha`` adds to their diagonal the components across it as one summed
+    power ``sum_p |S_p|^2``.  Only the live components, those with
     ``a_ip != 0`` for some i, are transformed and correlated: at most 3
-    forward transforms, and 2 inverse correlations for a line, 4 for a plane
-    and 6 for a volume.
+    forward transforms, and at most 2 inverse correlations for an
+    axis-aligned line, 4 for a line or plane in a coordinate plane and 6
+    otherwise.
 
     An axis of ``n > 1`` cells is padded to :func:`_fast_length` ``(2n - 1)``,
     which holds the lags ``-(n-1)..(n-1)`` with no wrap-around, and is
@@ -288,19 +270,20 @@ def _lag_terms(steps: np.ndarray, cells: np.ndarray, orientations: np.ndarray,
     # a lattice of one cell transforms axis 0, at length 1
     axes = [axis for axis in range(3) if n[axis] > 1] or [0]
     n = [n[axis] for axis in axes]
-    frame, coords = _lattice_frame(steps[axes])
-    pairs, c = _correlations((frame @ orientations.T) * weights, index[axes], n)
+    steps = steps[axes]
+    span = [e for e in range(3) if steps[:, e].any()]
+    pairs, c = _correlations(orientations.T * weights, index[axes], n, span)
     # the lags kept, in FFT order along each axis: 0..n-1, then -(n-1)..-1;
     # the last axis keeps 0..n-1
     lags = [np.r_[0:m, 1 - m:0] for m in n[:-1]] + [np.arange(n[-1])]
     c = c[(slice(None), *np.ix_(*lags[:-1]), slice(n[-1]))]
     lags = np.ix_(*lags)
-    # the lag's coordinates in the span, broadcast from the 1-D lags of each axis
-    pos = [sum(lag * coords[axis, e] for axis, lag in enumerate(lags) if coords[axis, e])
-           for e in range(len(n))]
-    r = np.sqrt(sum((p * p for p in pos), np.zeros(c.shape[1:])))
+    # the lag's coordinates along the span, broadcast from the 1-D lags of each axis
+    pos = {e: sum(lag * steps[axis, e] for axis, lag in enumerate(lags) if steps[axis, e])
+           for e in span}
+    r = np.sqrt(sum((p * p for p in pos.values()), np.zeros(c.shape[1:])))
     inv = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0.0)
-    unit = [p * inv for p in pos]
+    unit = {e: p * inv for e, p in pos.items()}
     # alpha: the diagonal pairs and the row after the pairs, the power across the span
     alpha = c[[i for i, (p, q) in enumerate(pairs) if p == q] + [*range(len(pairs), len(c))]]
     alpha = alpha.sum(axis=0)
@@ -314,13 +297,13 @@ def _lag_terms(steps: np.ndarray, cells: np.ndarray, orientations: np.ndarray,
     return r, np.bincount(term, alpha.ravel(), r.size), np.bincount(term, beta.ravel(), r.size)
 
 
-def _correlations(a: np.ndarray, index: np.ndarray, n: list):
+def _correlations(a: np.ndarray, index: np.ndarray, n: list, span: list):
     """The correlations :func:`_lag_terms` needs, over the lags of the padded grid.
 
-    ``a`` holds the (3, M) components in the lattice's frame, the first
-    ``len(n)`` of them in the span of its steps, and ``index`` the cells along
-    the transformed axes, of ``n`` cells each.  Returns the pairs ``(p, q)``,
-    p <= q < len(n), of live components and the correlation rows: one
+    ``a`` holds the (3, M) Cartesian components, ``index`` the cells along
+    the transformed axes, of ``n`` cells each, and ``span`` the coordinate
+    axes the steps reach.  Returns the pairs ``(p, q)``, p <= q, of live
+    components in the span and the correlation rows: one
     ``Re(C_pq + C_qp)/2`` per pair, then, if a live component lies across the
     span, one ``sum_p Re C_pp`` over those components.  Each live component
     is transformed in one zero-padded buffer, axis by axis from the last and
@@ -337,8 +320,9 @@ def _correlations(a: np.ndarray, index: np.ndarray, n: list):
     the threshold above a call's use, so repeated calls reuse the same pages.
     """
     live = np.flatnonzero((a != 0.0).any(axis=1)).tolist()
-    pairs = [(p, q) for p in live for q in live if p <= q < len(n)]
-    across = [p for p in live if p >= len(n)]
+    inside = [p for p in live if p in span]
+    pairs = [(p, q) for p in inside for q in inside if p <= q]
+    across = [p for p in live if p not in span]
     fast = [_fast_length(2 * m - 1) for m in n]
     half = [*fast[:-1], fast[-1] // 2 + 1]
     size, rows = math.prod(fast), len(pairs) + bool(across)

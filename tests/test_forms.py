@@ -235,9 +235,28 @@ def _off_axis_source(rng, layout, size):
                    line._lattice)
 
 
+def _rotated_lattice(rng, size, drop, aligned=False):
+    """A 2-D or 3-D lattice whose steps are turned by a random rotation, with random
+    complex weights and orientations and dropped cells: its steps reach all three
+    coordinate axes."""
+    shape = _grid_shape(rng, rng.choice(["2d", "3d"]), size)
+    cells = np.argwhere(np.ones(shape, dtype=bool))
+    cells = cells[(rng.random(len(cells)) >= drop) | (np.arange(len(cells)) == 0)]
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    rotation = q * np.sign(np.diag(r))
+    rotation *= np.sign(np.linalg.det(rotation))  # proper: det +1
+    steps = np.diag(rng.uniform(5.0, 60.0, 3)) @ rotation.T
+    weights = rng.normal(size=len(cells)) + 1j * rng.normal(size=len(cells))
+    return _source(rng.uniform(-100.0, 100.0, 3) + cells @ steps,
+                   _unit_vectors(rng, len(cells), aligned), weights, Position(0.0, 0.0, 0.0),
+                   (steps, cells))
+
+
 def _lattice_source(rng, layout, size, drop, aligned=False):
     if layout in ("axis-pair", "axis-line"):
         return _off_axis_source(rng, layout, size)
+    if layout == "rotated":
+        return _rotated_lattice(rng, size, drop, aligned)
     if layout == "line":
         # along a random, generally non-axis, direction
         return line_source(Position(*rng.uniform(-50.0, 50.0, 3)), _orientation(rng),
@@ -268,7 +287,7 @@ def _assert_lattice_forms_match_dense_double_sum(src, env, k_grid):
 
 @given(
     layout=st.sampled_from(["1xNx1", "Nx1x1", "Nx1xM", "2d", "3d", "line", "pair", "point",
-                            "axis-pair", "axis-line"]),
+                            "axis-pair", "axis-line", "rotated"]),
     size=st.integers(min_value=1, max_value=9),
     drop=st.floats(min_value=0.0, max_value=0.6),
     aligned=st.booleans(),
@@ -412,12 +431,14 @@ def _lag_transforms(src):
     ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 1, 1),
     ((1.0, 0.0, 0.0), (0.6, 0.0, 0.8), 2, 2),
     ((1.0, 0.0, 0.0), (0.36, 0.48, 0.8), 3, 2),
-    # the frame follows the line: 3 components, one of them along it
-    ((1.0, 1.0, 1.0), (0.36, -0.48, 0.8), 3, 2),
+    # a line in the xy plane: xx, xy and yy along it, and the power of z across it
+    ((1.0, 1.0, 0.0), (0.36, 0.48, 0.8), 3, 4),
+    # a line off every coordinate plane reaches all three axes: 6 pairs, none across
+    ((1.0, 1.0, 1.0), (0.36, -0.48, 0.8), 3, 6),
 ])
 def test_lag_terms_transform_only_live_components(axis, polarization, forward, inverse):
-    # 40 cells pad 79 lags to 80: an inverse correlation per live component along
-    # the line's frame axis and pair of them, plus one for the summed power across it
+    # 40 cells pad 79 lags to 80: an inverse correlation per pair of live components
+    # on the coordinate axes the line reaches, plus one for the summed power of the rest
     line = line_source(Position(0.0, 0.0, 0.0), Orientation.from_vector(*axis),
                        Orientation.from_vector(*polarization), 300.0, 40)
     assert _lag_transforms(line) == {"forward": [(80,)] * forward,
