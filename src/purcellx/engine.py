@@ -167,7 +167,8 @@ def _ascending_grid(name: str, values) -> np.ndarray:
     grid = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise InvalidArgumentError(f"{name} grid must be a non-empty 1D array")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
+    # a NaN passes the order test and is named at its point by the per-point checks
+    if np.any(np.diff(grid) <= 0):
         raise InvalidArgumentError(f"{name} grid must be strictly ascending")
     return grid
 

@@ -6,10 +6,11 @@ over its modes, and every quantity it gives is ``Im(S)/pi``.  The weight
 ``Z_m`` comes from mode m's field projected on the points, and is the one
 thing a model class states, once in its body: ``_cross(x, y)`` between the
 fields ``x``, ``y`` at two points, and ``_form(x, y)`` for a source's
-``w^H rho w`` given ``x = w^H v``, ``y = v^T w``.  The sum itself is written
-once (:func:`_pole_sum`), and so are the CDOS matrix, its diagonal and the
-source forms built on it (:func:`_pole_matrix`, :func:`_pole_ldos`,
-:func:`_pole_forms`):
+``w^H rho w`` given ``x = w^H v``, ``y = v^T w``.  Each mode's field is
+projected once per call, by :func:`_mode_fields`, and the sum reads those
+fields; the sum itself is written once (:func:`_pole_sum`), and so are the
+CDOS matrix, its diagonal and the source forms built on it
+(:func:`_pole_matrix`, :func:`_pole_ldos`, :func:`_pole_forms`):
 
 * a lossy mode (:class:`ModeSet`) weighs its pole by the real
   ``Re(x conj(y))``, and a source by ``(|x|^2 + |y|^2)/2``, so each line is
@@ -99,36 +100,47 @@ class LossyMode(_PoleMode):
         return self.gamma_m > self.k_m / 10.0
 
 
-def _pole_sum(model, positions: np.ndarray, orientations: np.ndarray, k, weight):
+def _mode_fields(model, positions: np.ndarray, orientations: np.ndarray):
+    """Each mode's field ``v_m`` on M polarized points, in mode order: the one
+    projection of the pole quantities, taken lazily as a caller iterates.
+
+    :func:`_pole_sum` reads it as its loop reaches each mode, after its k
+    check; a caller that needs the fields for more than one sum takes them
+    once as a list.
+    """
+    return (projected_field_many(mode.field, positions, orientations)
+            for mode in model.structured_modes())
+
+
+def _pole_sum(model, fields, k, weight):
     """Pole expansion: the complex ``sum_m weight(v_m) / (k_m - i g_m/2 - k)``.
 
-    ``v_m`` is mode m's field on the M polarized points and ``weight(v_m)``
-    its weight ``Z_m``, built from the model class's ``_cross`` or ``_form``:
-    ``_cross`` over the (M, M) outer product ``v_m v_m^T``, over its diagonal
-    or between two points, and, given source weights ``w``,
-    ``_form(w^H v_m, v_m^T w)``, whose ``Im(sum)/pi`` over a k grid is
-    ``w^H rho(k) w``.
+    ``fields`` are the modes' fields ``v_m`` on M polarized points
+    (:func:`_mode_fields`) and ``weight(v_m)`` mode m's weight ``Z_m``, built
+    from the model class's ``_cross`` or ``_form``: ``_cross`` over the
+    (M, M) outer product ``v_m v_m^T``, over its diagonal or between two
+    points, and, given source weights ``w``, ``_form(w^H v_m, v_m^T w)``,
+    whose ``Im(sum)/pi`` over a k grid is ``w^H rho(k) w``.
     """
     _require_k(k)
     total = 0.0
-    for mode in model.structured_modes():
-        z = weight(projected_field_many(mode.field, positions, orientations))
-        total = total + z * (1.0 / (complex(mode.k_m, -0.5 * mode.gamma_m) - k))
+    for mode, v in zip(model.structured_modes(), fields):
+        total = total + weight(v) * (1.0 / (complex(mode.k_m, -0.5 * mode.gamma_m) - k))
     return total
 
 
 def _pole_matrix(model, positions: np.ndarray, orientations: np.ndarray,
                  k: Wavenumber) -> np.ndarray:
     """The (M, M) CDOS matrix of a pole model over M polarized points."""
-    return _pole_sum(model, positions, orientations, k,
+    return _pole_sum(model, _mode_fields(model, positions, orientations), k,
                      lambda v: model._cross(v[:, None], v)).imag / math.pi
 
 
 def _pole_ldos(model, positions: np.ndarray, orientations: np.ndarray,
                k: Wavenumber) -> np.ndarray:
     """The diagonal of :func:`_pole_matrix` in O(M): the projected LDOS at each point."""
-    diagonal = _pole_sum(model, positions, orientations, k, lambda v: model._cross(v, v))
-    return diagonal.imag / math.pi
+    return _pole_sum(model, _mode_fields(model, positions, orientations), k,
+                     lambda v: model._cross(v, v)).imag / math.pi
 
 
 def _pole_forms(model, src: ExtendedSource, k_grid) -> np.ndarray:
@@ -138,8 +150,8 @@ def _pole_forms(model, src: ExtendedSource, k_grid) -> np.ndarray:
     one pole per mode and k, with no M x M array.
     """
     w = src.weights_array()
-    return _pole_sum(model, src.positions_array(), src.orientations_array(),
-                     _require_k_grid(k_grid),
+    fields = _mode_fields(model, src.positions_array(), src.orientations_array())
+    return _pole_sum(model, fields, _require_k_grid(k_grid),
                      lambda v: model._form(np.vdot(w, v), v @ w)).imag / math.pi
 
 

@@ -20,6 +20,10 @@ real weight gives a Lorentzian, with q = 0 or infinite.  The
 arithmetic-mean-of-tangents convention q = (tan phi_a + tan phi_b)/2
 coincides with the QNM half-angle q when phi_a = phi_b and is reported for
 comparison rather than asserted otherwise.
+
+The Fano tools name each mode by its index in the model's
+``structured_modes()``, so a model of any size decomposes, and a call
+projects each mode's field once (:func:`purcellx.modal._mode_fields`).
 """
 
 from __future__ import annotations
@@ -41,8 +45,10 @@ from .core import (
     _require_positive,
     _two_point,
 )
-from .fields import projected_field, projected_field_many
-from .modal import ModeSet, _PoleMode, _pole_forms, _pole_ldos, _pole_matrix, _pole_sum
+# projected_field_many is bound here too: the benchmark's tracer wraps it by module
+from .fields import projected_field, projected_field_many  # noqa: F401
+from .modal import (ModeSet, _mode_fields, _pole_forms, _pole_ldos, _pole_matrix, _pole_sum,
+                    _PoleMode)
 
 __all__ = [
     "Qnm",
@@ -65,9 +71,6 @@ ZERO_FIELD_CUTOFF = 1e-14
 
 #: |cos| below which a tangent is reported as the infinite-q signal.
 _TAN_POLE_CUTOFF = 1e-12
-
-#: Labels of a pole model's modes in the Fano tools, in mode order.
-_LABELS = "abcdefghijklmnopqrstuvwxyz"
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,8 @@ def green_qnm_projected(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
     fields ``u_a.E(r_a)`` and ``u_b.E(r_b)``, so ``(2k/pi) Im`` of it is
     :func:`cdos_qnm`.
     """
-    pole_sum = _pole_sum(pair, *_point_arrays(a, b), k, lambda v: pair._cross(*v))
-    return complex(pole_sum) / (2.0 * k)
+    return complex(_pole_sum(pair, _mode_fields(pair, *_point_arrays(a, b)), k,
+                             lambda v: pair._cross(*v))) / (2.0 * k)
 
 
 cdos_qnm = _two_point
@@ -192,9 +195,10 @@ def fano_q_params(phi1: float, phi2: float) -> FanoQParams:
 
 @dataclass(frozen=True)
 class FanoTerm:
-    """One mode's contribution to a Fano-decomposed spectrum."""
+    """One mode's contribution to a Fano-decomposed spectrum; ``mode`` is the
+    mode's index in the model's ``structured_modes()``."""
 
-    label: str
+    mode: int
     q: float
     coefficient: float
 
@@ -202,28 +206,29 @@ class FanoTerm:
         _require_finite("coefficient", self.coefficient)
 
 
-def _labelled_modes(pair) -> dict:
-    """The modes of a pole model under the labels ``a``, ``b``, ... in mode order."""
+def _require_pole_model(pair) -> None:
     if not isinstance(pair, (ModeSet, QnmPair)):
         raise InvalidArgumentError(f"{type(pair).__name__} is not a pole model (ModeSet, QnmPair)")
-    modes = pair.structured_modes()
-    if len(modes) > len(_LABELS):
-        raise InvalidArgumentError(f"{len(modes)} modes exceed the {len(_LABELS)} Fano labels a-z")
-    return dict(zip(_LABELS, modes))
 
 
-def _decompose(pair, a: PolarizedPoint, b: PolarizedPoint) -> list[tuple]:
+def _point_fields(pair, a: PolarizedPoint, b: PolarizedPoint) -> list:
+    """Each mode's fields ``(z_a, z_b)`` at the two points, in mode order,
+    projected once; a model that is not a pole model is refused first."""
+    _require_pole_model(pair)
+    return list(_mode_fields(pair, *_point_arrays(a, b)))
+
+
+def _decompose(pair, fields: list) -> list[tuple]:
     """Per mode with a nonzero projected field at both points: its exact Fano
-    term (the module's identity) and its field phases at ``a`` and ``b``."""
+    term (the module's identity) and its field phases at the two points,
+    read from the fields of :func:`_point_fields`."""
     live = []
-    positions, orientations = _point_arrays(a, b)
-    for label, mode in _labelled_modes(pair).items():
-        za, zb = projected_field_many(mode.field, positions, orientations)
+    for index, (mode, (za, zb)) in enumerate(zip(pair.structured_modes(), fields)):
         if min(abs(za), abs(zb)) < ZERO_FIELD_CUTOFF:
             continue
         z = pair._cross(za, zb)
         # either sign of a negative real weight's argument gives the infinite q
-        term = FanoTerm(label, _tan_or_inf(0.5 * math.atan2(z.imag, z.real)),
+        term = FanoTerm(index, _tan_or_inf(0.5 * math.atan2(z.imag, z.real)),
                         float(-2.0 * abs(z) / (math.pi * mode.gamma_m)))
         live.append((term, _phase(za), _phase(zb)))
     if not live:
@@ -237,22 +242,24 @@ def fano_decompose_cdos(pair: ModeSet | QnmPair, a: PolarizedPoint,
     """Exact Fano decomposition of a pole model's CDOS spectrum.
 
     One term ``K_m F(k_m, g_m, q_m, k)`` per mode with a nonzero projected
-    field at both points, labelled ``a``, ``b``, ... in mode order, with
+    field at both points, in mode order and named by mode index, with
     ``q_m`` and ``K_m`` in closed form (no fitting) from the identity in the
     module docstring; the sum over modes reproduces ``pair.cdos(a, b, k)``
     identically, for a :class:`QnmPair` and a :class:`ModeSet` alike.
     """
-    return [term for term, _, _ in _decompose(pair, a, b)]
+    return [term for term, _, _ in _decompose(pair, _point_fields(pair, a, b))]
 
 
 def reconstruct_cdos(pair: ModeSet | QnmPair, terms: list[FanoTerm], k):
-    """Evaluate a Fano-term sum on scalar or array k."""
-    modes = _labelled_modes(pair)
+    """Evaluate a Fano-term sum on scalar or array k; each term's mode is
+    looked up by index in ``pair.structured_modes()``."""
+    _require_pole_model(pair)
+    modes = pair.structured_modes()
     total = 0.0 if np.ndim(k) == 0 else np.zeros(np.shape(k))
     for term in terms:
-        if term.label not in modes:
-            raise InvalidArgumentError(f"unknown mode label {term.label!r}")
-        mode = modes[term.label]
+        if not (isinstance(term.mode, (int, np.integer)) and 0 <= term.mode < len(modes)):
+            raise InvalidArgumentError(f"no mode {term.mode!r} in a {len(modes)}-mode model")
+        mode = modes[term.mode]
         total = total + term.coefficient * fano_profile(mode.k_m, mode.gamma_m, term.q, k)
     return total
 
@@ -262,30 +269,32 @@ def mean_q_report(pair: ModeSet | QnmPair, a: PolarizedPoint, b: PolarizedPoint,
     """Compare both q conventions against the direct CDOS on a grid.
 
     Returns max relative deviations for each convention plus whether the two
-    point phases coincide per mode (in which case the conventions agree
-    exactly; a mode absent from the decomposition counts as coinciding).
+    point phases coincide per mode, in mode order (in which case the
+    conventions agree exactly; a mode absent from the decomposition counts
+    as coinciding).  Each mode's field is projected once, and the direct sum
+    and the decomposition read the same fields.
     The mean convention is built from the field phases, which shape only a
     QNM's term: a :class:`ModeSet`'s weights are real, so its
     ``max_rel_dev_mean`` is ``nan``.  Intended for diagnostic output, not
     assertions.
     """
     k_grid = _require_k_grid(k_grid)
-    live = _decompose(pair, a, b)
-    # the (a, b) entry of the CDOS matrix from the fields (z_a, z_b): each mode projected once
-    direct = _pole_sum(pair, *_point_arrays(a, b), k_grid,
-                       lambda v: pair._cross(*v)).imag / math.pi
+    fields = _point_fields(pair, a, b)
+    live = _decompose(pair, fields)
+    # the (a, b) entry of the CDOS matrix from the same fields (z_a, z_b)
+    direct = _pole_sum(pair, fields, k_grid, lambda v: pair._cross(*v)).imag / math.pi
     scale = float(np.max(np.abs(direct))) or 1.0
     half = reconstruct_cdos(pair, [term for term, _, _ in live], k_grid)
     mean_dev = math.nan
     if isinstance(pair, QnmPair):
         # same coefficients, arithmetic-mean-of-tangents q (reported, not asserted)
-        mean_terms = [FanoTerm(term.label, fano_q_params(phi_a, phi_b).q12_mean,
+        mean_terms = [FanoTerm(term.mode, fano_q_params(phi_a, phi_b).q12_mean,
                                term.coefficient) for term, phi_a, phi_b in live]
         mean = reconstruct_cdos(pair, mean_terms, k_grid)
         mean_dev = float(np.max(np.abs(mean - direct))) / scale
-    equal = {term.label: phi_a == phi_b for term, phi_a, phi_b in live}
+    equal = {term.mode: phi_a == phi_b for term, phi_a, phi_b in live}
     return {
         "max_rel_dev_halfangle": float(np.max(np.abs(half - direct))) / scale,
         "max_rel_dev_mean": mean_dev,
-        "phases_equal_per_mode": [equal.get(label, True) for label in _labelled_modes(pair)],
+        "phases_equal_per_mode": [equal.get(index, True) for index in range(len(fields))],
     }

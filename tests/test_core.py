@@ -83,7 +83,7 @@ FINITE_ARGUMENTS = {
     "surrogate_amplitude": ("amplitude",
                             lambda v: AnalyticSurrogateParams(160.0, 400.0, 120.0, Y, v), True),
     "pair_phase": ("phase", lambda v: pair_source(_A, _B, 1.0, v), False),
-    "fano_coefficient": ("coefficient", lambda v: FanoTerm("a", 1.0, v), False),
+    "fano_coefficient": ("coefficient", lambda v: FanoTerm(0, 1.0, v), False),
     "grid_origin": ("grid origin",
                     lambda v: GridField(np.zeros((2, 2, 3), dtype=complex), (0.0, v), (1.0, 1.0)),
                     False),
@@ -253,7 +253,7 @@ FROZEN_RECORDS = [
     SamplingGrid((0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (2, 2, 1)), HomogeneousGreens(1.0),
     _MODE, _QNM, ModeSet((_MODE,)), QnmPair(_QNM, _QNM),
     CompositeGreens(HomogeneousGreens(1.0), ModeSet((_MODE,))), RateResult(1.0, 2.0, 2.0, 0.005),
-    FanoTerm("a", 1.0, 0.5), _FIELD.params, _FIELD,
+    FanoTerm(0, 1.0, 0.5), _FIELD.params, _FIELD,
 ]
 
 

@@ -362,6 +362,7 @@ def test_sweep_reports_first_negative_reference_point():
 @pytest.mark.parametrize("grid,first", [
     ([-0.001, 0.0, 0.004, math.inf], 0),
     ([0.004, 0.005, math.inf], 2),
+    ([0.004, 0.005, math.nan], 2),  # a NaN passes the order test and is named at its point
 ])
 def test_sweep_reports_first_bad_wavenumber(grid, first):
     with pytest.raises(SweepPointError) as err:
@@ -432,6 +433,14 @@ def test_sweeps_reject_malformed_grids(grid, message):
         sweep_spectrum(src, VACUUM, VACUUM, grid)
     with pytest.raises(InvalidArgumentError, match=f"d grid must be .*{message}"):
         sweep_length(Position(0, 0, 0), X, Y, 100.0 * grid, 1.0, VACUUM, VACUUM, 0.005)
+
+
+def test_sweep_length_names_a_nan_length_at_its_point():
+    with pytest.raises(SweepPointError) as err:
+        sweep_length(Position(0, 0, 0), X, Y, np.array([10.0, 50.0, math.nan]), 1.0,
+                     VACUUM, VACUUM, 0.005)
+    assert err.value.index == 2
+    assert str(err.value.__cause__) == "line length must be >= 0, got nan"
 
 
 def test_sweep_length_rejects_negative_lengths():

@@ -241,6 +241,37 @@ def test_roundtrip_extreme_values(tmp_path):
     assert _same_bits(back.data, grid.data)
 
 
+def test_saved_file_text_is_pinned(tmp_path):
+    # node n (1-based, x fastest) holds (n + 0.5i, -n + 0.25i, 0.1 n), with a -0.0
+    # first and a subnormal last
+    data = np.zeros((3, 2, 2, 3), dtype=complex)
+    for ix, iy, iz in np.ndindex(3, 2, 2):
+        n = 1 + ix + 3 * iy + 6 * iz
+        data[ix, iy, iz] = (n + 0.5j, -n + 0.25j, 0.1 * n)
+    data[0, 0, 0, 0] = complex(-0.0, 0.5)
+    data[2, 1, 1, 2] = complex(1.2, 5e-324)
+    path = tmp_path / "pinned.field"
+    save_grid_field(GridField(data, origin=(-1.5, 0.0, 2.0), spacing=(0.5, 1.0, 0.25)), path)
+    assert path.read_bytes() == b"""\
+dims 3 2 2
+origin -1.5 0.0 2.0
+spacing 0.5 1.0 0.25
+components 3
+-0.0 0.5 -1.0 0.25 0.1 0.0
+2.0 0.5 -2.0 0.25 0.2 0.0
+3.0 0.5 -3.0 0.25 0.30000000000000004 0.0
+4.0 0.5 -4.0 0.25 0.4 0.0
+5.0 0.5 -5.0 0.25 0.5 0.0
+6.0 0.5 -6.0 0.25 0.6000000000000001 0.0
+7.0 0.5 -7.0 0.25 0.7000000000000001 0.0
+8.0 0.5 -8.0 0.25 0.8 0.0
+9.0 0.5 -9.0 0.25 0.9 0.0
+10.0 0.5 -10.0 0.25 1.0 0.0
+11.0 0.5 -11.0 0.25 1.1 0.0
+12.0 0.5 -12.0 0.25 1.2 5e-324
+"""
+
+
 def test_nan_sample_rejected_with_location(tmp_path):
     path = tmp_path / "bad.field"
     lines = [

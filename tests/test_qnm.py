@@ -163,7 +163,7 @@ def test_decomposition_single_real_mode_ldos():
     p = _point(40.0)
     terms = fano_decompose_cdos(pair, p, p)
     assert len(terms) == 1
-    assert terms[0].label == "a"
+    assert terms[0].mode == 0
     assert terms[0].q == 0.0  # tan(0)
     ks = np.linspace(pair.qnm_a.k_m - 6 * pair.qnm_a.gamma_m,
                      pair.qnm_a.k_m + 6 * pair.qnm_a.gamma_m, 200)
@@ -180,7 +180,7 @@ def test_decomposition_two_modes_coincident_point():
     pair = QnmPair(a_mode, b_mode)
     p = _point(52.0, 8.0)
     terms = fano_decompose_cdos(pair, p, p)
-    assert {t.label for t in terms} == {"a", "b"}
+    assert [t.mode for t in terms] == [0, 1]
     ks = np.linspace(0.005 - 1.5e-4, 0.005 + 1.5e-4, 200)
     direct = np.array([cdos_qnm(pair, p, p, float(k)) for k in ks])
     recon = reconstruct_cdos(pair, terms, ks)
@@ -199,7 +199,7 @@ def test_decomposition_ldos_q_equals_tan_phase():
 def test_decomposition_drops_dead_mode_and_raises_when_all_dead():
     pair = _single_qnm_pair()
     terms = fano_decompose_cdos(pair, _point(10.0), _point(-30.0))
-    assert [t.label for t in terms] == ["a"]
+    assert [t.mode for t in terms] == [0]
     with pytest.raises(UndefinedPhaseError):
         fano_decompose_cdos(pair, _point(160.0), _point(10.0))
 
@@ -242,14 +242,14 @@ def test_decomposition_exactness_property(re_a, im_a, re_b, im_b, amp_c, xa, xb,
     model = _pole_model(kind, (amp_a, amp_b, amp_c), k_a, g_a, detune, qual_ratio)
     a = _point(xa)
     b = _point(xb)
-    live = [label for label, mode in zip("abc", model.structured_modes())
+    live = [index for index, mode in enumerate(model.structured_modes())
             if min(abs(_field_at(mode, p)) for p in (a, b)) >= 1e-14]
     try:
         terms = fano_decompose_cdos(model, a, b)
     except UndefinedPhaseError:
         assert not live
         return
-    assert [t.label for t in terms] == live
+    assert [t.mode for t in terms] == live
     ks = np.linspace(k_a - 5 * g_a, k_a + 5 * g_a, 120)
     direct = np.array([model.cdos(a, b, float(k)) for k in ks])
     recon = reconstruct_cdos(model, terms, ks)
@@ -271,7 +271,7 @@ def test_decomposition_of_three_lossy_modes_keeps_every_term():
     model = _pole_model(3, (1.0 + 0.5j, 0.3 - 0.9j, -0.7 + 0.2j), 0.005, 2.5e-5, 0.6, 2.5)
     a, b = _point(30.0, 10.0), _point(-90.0)
     terms = fano_decompose_cdos(model, a, b)
-    assert [t.label for t in terms] == ["a", "b", "c"]
+    assert [t.mode for t in terms] == [0, 1, 2]
     # a lossy mode's real weight gives a Lorentzian: q is 0 or infinite
     assert all(t.q == 0.0 or math.isinf(t.q) for t in terms)
     ks = np.linspace(0.005 - 2e-4, 0.005 + 2e-4, 301)
@@ -286,7 +286,7 @@ def test_decomposition_of_three_lossy_modes_keeps_every_term():
 
 
 @pytest.mark.parametrize("kind", ["qnm", 3])
-def test_mean_q_report_projects_each_mode_at_most_twice(monkeypatch, kind):
+def test_mean_q_report_projects_each_mode_once(monkeypatch, kind):
     calls = []
     for module in (modal, qnm):
         original = module.projected_field_many
@@ -299,7 +299,8 @@ def test_mean_q_report_projects_each_mode_at_most_twice(monkeypatch, kind):
         calls.clear()
         mean_q_report(model, a, b, np.linspace(0.0049, 0.0051, count))
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 2 * len(model.structured_modes())
+    # the direct sum and the decomposition read the same projections
+    assert counts == [len(model.structured_modes())] * 2
 
 
 def test_mean_q_report_agrees_when_phases_equal():
@@ -391,14 +392,17 @@ def test_modal_qnm_high_q_consistency():
 
 def test_fano_term_validation():
     with pytest.raises(Exception):
-        FanoTerm("a", 0.0, math.nan)
+        FanoTerm(0, 0.0, math.nan)
 
 
 def test_fano_tools_reject_bad_input():
     pair = _single_qnm_pair()
     p = _point(40.0)
-    with pytest.raises(InvalidArgumentError, match="unknown mode label 'c'"):
-        reconstruct_cdos(pair, [FanoTerm("c", 0.0, 1.0)], np.array([0.005]))
+    # a mode is named by its index: anything but an index of one of the pair's two
+    # modes is refused as an argument, not by a TypeError or an IndexError
+    for index in (2, -1, 0.5, 1.0, "a", None):
+        with pytest.raises(InvalidArgumentError, match=f"no mode {index!r} in a 2-mode model"):
+            reconstruct_cdos(pair, [FanoTerm(index, 0.0, 1.0)], np.array([0.005]))
     for k_grid in (np.array([]), np.full((2, 3), 0.005)):
         with pytest.raises(InvalidArgumentError, match="k grid must be a non-empty 1D array"):
             mean_q_report(pair, p, p, k_grid)
@@ -417,20 +421,27 @@ def test_fano_tools_refuse_models_that_are_not_pole_models():
             mean_q_report(model, p, p, ks)
 
 
-def test_fano_tools_refuse_more_modes_than_labels():
-    def mode_set(count):
-        return ModeSet(tuple(LossyMode(_surrogate(1.0), 0.005 + 1e-5 * i, 2.5e-5)
-                             for i in range(count)))
-
-    p = _point(40.0)
-    terms = fano_decompose_cdos(mode_set(26), p, p)
-    assert [t.label for t in terms] == list("abcdefghijklmnopqrstuvwxyz")
-    too_many = mode_set(27)
-    for call in (lambda: fano_decompose_cdos(too_many, p, p),
-                 lambda: reconstruct_cdos(too_many, terms, np.array([0.005])),
-                 lambda: mean_q_report(too_many, p, p, np.array([0.005]))):
-        with pytest.raises(InvalidArgumentError, match="27 modes exceed the 26"):
-            call()
+def test_fano_tools_take_a_mode_set_of_any_size(monkeypatch):
+    # 40 modes, more than the letters a-z that once named them; the first 20 change
+    # sign between the two points (x0 < 250 nm), the last 20 do not
+    modes = tuple(LossyMode(_surrogate((-1.0) ** i, x0=152.0 + 5.0 * i), 0.005 + 1e-5 * i,
+                            2.5e-5 * (1.0 + 0.02 * i)) for i in range(40))
+    model = ModeSet(modes)
+    a, b = _point(30.0, 10.0), _point(-250.0)
+    terms = fano_decompose_cdos(model, a, b)
+    assert [t.mode for t in terms] == list(range(40))
+    ks = np.linspace(0.0049, 0.0055, 401)
+    direct = np.array([cdos_modal(model, a, b, float(k)) for k in ks])
+    recon = reconstruct_cdos(model, terms, ks)
+    assert np.max(np.abs(recon - direct)) / np.max(np.abs(direct)) < 1e-9
+    calls = []
+    original = modal.projected_field_many
+    monkeypatch.setattr(modal, "projected_field_many",
+                        lambda *args: calls.append(1) or original(*args))
+    report = mean_q_report(model, a, b, ks)
+    assert len(calls) == 40
+    assert report["max_rel_dev_halfangle"] < 1e-9
+    assert report["phases_equal_per_mode"] == [False] * 20 + [True] * 20
 
 
 def test_qnm_does_not_warn_at_high_loss_and_never_equals_a_lossy_mode():
