@@ -65,8 +65,9 @@ _B_INNER_COEFFS = (
 #: factor to full precision in doubles.
 TAYLOR_SWITCH = 0.25
 
-#: Elements in one block of terms x wavenumbers: every k-dependent temporary of
-#: a source's forms holds at most this many (64 kB of float64), whatever M or K.
+#: Elements in one block of terms x wavenumbers: each slot of the workspace in
+#: which a source's forms evaluates its blocks holds at most this many (64 kB of
+#: float64), whatever M or K.
 _BLOCK = 8192
 
 
@@ -84,21 +85,39 @@ def _factors_series(x):
     return a, b
 
 
-def _factors_closed(x):
-    sx = np.sin(x)
-    cx = np.cos(x)
-    inv = 1.0 / x
-    inv2 = inv * inv
-    a = sx * inv + cx * inv2 - sx * inv * inv2
-    b = -sx * inv - 3.0 * cx * inv2 + 3.0 * sx * inv * inv2
+def _factors_closed(x, out=None):
+    """The closed forms of (A, B) at x, a scalar or an array.
+
+    With ``out`` None every step makes a fresh result.  Otherwise ``out``
+    holds six arrays of x's shape, slots that the steps write into (A and B
+    return in the first two), so the call allocates nothing.  Both ways take
+    every product and sum in the same order, so the values are bitwise the
+    same.
+    """
+    to_a, to_b, to_sx, to_cx, to_inv, to_inv2 = (None,) * 6 if out is None else out
+    sx = np.sin(x, out=to_sx)
+    cx = np.cos(x, out=to_cx)
+    inv = np.divide(1.0, x, out=to_inv)
+    inv2 = np.multiply(inv, inv, out=to_inv2)
+    # sx/x waits in b's slot, which b starts from by negating it
+    sxi = np.multiply(sx, inv, out=to_b)
+    a = np.add(sxi, np.multiply(cx, inv2, out=to_a), out=to_a)
+    # the dead sx, cx and inv make room for (3 cx)/x^2, ((3 sx)/x)/x^2 and (sx/x)/x^2
+    cx3 = np.multiply(np.multiply(3.0, cx, out=to_cx), inv2, out=to_cx)
+    sx3 = np.multiply(np.multiply(np.multiply(3.0, sx, out=to_sx), inv, out=to_sx), inv2,
+                      out=to_sx)
+    # a = sx/x + cx/x^2 - (sx/x)/x^2
+    a = np.subtract(a, np.multiply(sxi, inv2, out=to_inv), out=to_a)
+    # b = -sx/x - (3 cx)/x^2 + ((3 sx)/x)/x^2
+    b = np.add(np.subtract(np.negative(sxi, out=to_b), cx3, out=to_b), sx3, out=to_b)
     return a, b
 
 
-def _factors_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _factors_array(x: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     # the closed forms are inf/nan at x = 0 and overflow in 1/x**2 for tiny x;
     # the series overwrites every x < TAYLOR_SWITCH, so those warnings are noise
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a, b = _factors_closed(x)
+        a, b = _factors_closed(x, out)
     small = x < TAYLOR_SWITCH
     if np.any(small):
         a[small], b[small] = _factors_series(x[small])
@@ -164,9 +183,9 @@ class HomogeneousGreens:
         (:func:`_pair_terms`), so a point, a pair and a two-element line take
         their 1-3 pair terms with no transform.  The terms then cost the
         radial factors and one sum per k, taken in blocks of at most
-        ``_BLOCK`` elements (:func:`_blocked_sums`), so memory does not grow
-        with the grid.  A k's value does not depend on the other points of
-        the grid.
+        ``_BLOCK`` elements, all in one workspace per call
+        (:func:`_blocked_sums`), so memory does not grow with the grid.  A
+        k's value does not depend on the other points of the grid.
         """
         k_grid = _require_k_grid(k_grid)
         m = len(src)
@@ -346,16 +365,22 @@ def _correlations(a: np.ndarray, index: np.ndarray, n: list, span: list):
     return pairs, np.fft.rfftn(x, axes=range(1, x.ndim), norm="forward", out=out).real
 
 
-def _pair_values(n: float, k: Wavenumber, r, alpha, beta) -> np.ndarray:
-    """Pair CDOS ``(2k/pi) Im[u_i . G u_j]`` from ``alpha``, ``beta`` at separation ``r``.
+def _pair_values(n: float, k: Wavenumber, r, alpha, beta, out=None) -> np.ndarray:
+    """Pair CDOS ``(2k/pi) Im[u_i . G u_j]`` from ``alpha``, ``beta`` at separations ``r``.
 
     Plain terms are ``alpha = u_i.u_j`` and ``beta = (u_i.R^)(u_j.R^)``;
     weighted terms (:func:`_pair_terms`, :func:`_lag_terms`) give weighted
-    values.  Only the radial factors depend on k.
+    values.  Only the radial factors depend on k.  ``out`` is None, for a
+    fresh result, or seven slots of the result's shape: one for ``n k r``
+    and six for :func:`_factors_closed`; the values come back in the
+    second.
     """
     kappa = n * k
-    fa, fb = _factors_array(kappa * r)
-    return (2.0 * k / math.pi) * (kappa / (4.0 * math.pi)) * (fa * alpha + fb * beta)
+    x = np.multiply(kappa, r, out=None if out is None else out[0])
+    fa, fb = _factors_array(x, None if out is None else out[1:])
+    # fa and fb belong to this call, fresh or slots, so the products overwrite them
+    fa = np.add(np.multiply(fa, alpha, out=fa), np.multiply(fb, beta, out=fb), out=fa)
+    return np.multiply((2.0 * k / math.pi) * (kappa / (4.0 * math.pi)), fa, out=fa)
 
 
 def _blocked_sums(n: float, k_grid: np.ndarray, chunks) -> np.ndarray:
@@ -364,13 +389,29 @@ def _blocked_sums(n: float, k_grid: np.ndarray, chunks) -> np.ndarray:
     A chunk of at most ``_BLOCK`` terms is evaluated on ``max(1, _BLOCK // terms)``
     wavenumbers at once and summed along its terms, the contiguous last axis,
     so a k's sum over a chunk is bitwise the 1-D sum of that chunk at that k.
+
+    Every block is evaluated in one workspace per call: seven slots, for
+    ``n k r`` and the closed forms, as long as the first chunk's first
+    block.  That block is the largest, since every chunk but the last holds
+    ``_BLOCK`` terms, so the workspace is at most 7 x 64 kB.  With about
+    twenty fresh temporaries per block, glibc trimmed the heap after a call
+    and the next call faulted the pages in again: 400-550 page faults per
+    call on a 200-element line at K = 201, in a process that keeps its
+    results.  One workspace keeps them, for the reason that
+    :func:`_correlations` gives for its one buffer.
     """
     ks = k_grid[:, None]
-    total = None
+    total = work = None
     for r, alpha, beta in chunks:
         rows = max(1, _BLOCK // r.size)
-        sums = np.concatenate([_pair_values(n, ks[s:s + rows], r, alpha, beta).sum(axis=1)
-                               for s in range(0, k_grid.size, rows)])
+        if work is None:
+            work = np.empty((7, min(rows, k_grid.size) * r.size))
+        blocks = []
+        for s in range(0, k_grid.size, rows):
+            k = ks[s:s + rows]
+            out = work[:, :k.size * r.size].reshape(-1, k.size, r.size)
+            blocks.append(_pair_values(n, k, r, alpha, beta, out).sum(axis=1))
+        sums = np.concatenate(blocks)
         total = sums if total is None else total + sums
     return total
 

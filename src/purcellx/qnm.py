@@ -72,6 +72,9 @@ ZERO_FIELD_CUTOFF = 1e-14
 #: |cos| below which a tangent is reported as the infinite-q signal.
 _TAN_POLE_CUTOFF = 1e-12
 
+#: Wrapped phase difference (rad) up to which two points' field phases coincide.
+_PHASE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Qnm(_PoleMode):
@@ -271,8 +274,12 @@ def mean_q_report(pair: ModeSet | QnmPair, a: PolarizedPoint, b: PolarizedPoint,
     Returns max relative deviations for each convention plus whether the two
     point phases coincide per mode, in mode order (in which case the
     conventions agree exactly; a mode absent from the decomposition counts
-    as coinciding).  Each mode's field is projected once, and the direct sum
-    and the decomposition read the same fields.
+    as coinciding).  Two phases coincide when their difference, wrapped into
+    (-pi, pi], is at most ``_PHASE_TOL`` = 1e-12 rad in magnitude: two points
+    in one lobe of a mode have the same phase, but ``atan2`` of fields
+    scaled by different real factors can differ in the last bits.  Each
+    mode's field is projected once, and the direct sum and the
+    decomposition read the same fields.
     The mean convention is built from the field phases, which shape only a
     QNM's term: a :class:`ModeSet`'s weights are real, so its
     ``max_rel_dev_mean`` is ``nan``.  Intended for diagnostic output, not
@@ -292,7 +299,8 @@ def mean_q_report(pair: ModeSet | QnmPair, a: PolarizedPoint, b: PolarizedPoint,
                                term.coefficient) for term, phi_a, phi_b in live]
         mean = reconstruct_cdos(pair, mean_terms, k_grid)
         mean_dev = float(np.max(np.abs(mean - direct))) / scale
-    equal = {term.mode: phi_a == phi_b for term, phi_a, phi_b in live}
+    equal = {term.mode: abs(math.remainder(phi_a - phi_b, 2.0 * math.pi)) <= _PHASE_TOL
+             for term, phi_a, phi_b in live}
     return {
         "max_rel_dev_halfangle": float(np.max(np.abs(half - direct))) / scale,
         "max_rel_dev_mean": mean_dev,

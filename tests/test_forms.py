@@ -54,7 +54,7 @@ from purcellx import (
     point_source,
     sampled_source,
 )
-from purcellx.homogeneous import _BLOCK, _fast_length, _lag_terms, _pair_values
+from purcellx.homogeneous import TAYLOR_SWITCH, _BLOCK, _fast_length, _lag_terms, _pair_values
 from purcellx.sources import _source
 
 #: Grid-field domain: x in [-300, 300], y in [-200, 200] nm.
@@ -584,15 +584,26 @@ def test_blocks_cannot_be_seen_in_the_forms():
     # 150 elements: as many terms, which do not divide _BLOCK, so a block holds 54 k
     line = line_source(Position(10.0, -5.0, 3.0), Orientation.from_vector(1.0, 0.2, 0.1),
                        Orientation.from_vector(0.3, 1.0, -0.4), 420.0, 150, 1.3)
-    terms = _lag_terms(*line._lattice, line.orientations_array(), line.weights_array())[0].size
+    lags = _lag_terms(*line._lattice, line.orientations_array(), line.weights_array())
+    terms = lags[0].size
     assert _BLOCK % terms != 0
     env = HomogeneousGreens(1.6)
-    ks = np.linspace(0.002, 0.03, 3 * (_BLOCK // terms) + 5)  # four blocks, the last partial
-    full = env.forms(line, ks)
-    single = np.array([env.forms(line, [k])[0] for k in ks])
-    assert full.tobytes() == single.tobytes()
-    assert full[2::5].tobytes() == env.forms(line, ks[2::5]).tobytes()
-    assert full[:1].tobytes() == env.forms(line, ks[:1]).tobytes()
+    rows = _BLOCK // terms
+    # four blocks each, the last partial.  On the second grid the first block puts
+    # more terms than r = 0 below TAYLOR_SWITCH, at first all of them, and the last
+    # block r = 0 alone, so the series overwrites different entries from block to block
+    grids = (np.linspace(0.002, 0.03, 3 * rows + 5), np.geomspace(1e-4, 0.1, 3 * rows + 5))
+    below = (env.n * grids[1][:, None] * lags[0] < TAYLOR_SWITCH).sum(axis=1)
+    assert below[0] == terms and (below[:rows] > 1).all() and (below[3 * rows:] == 1).all()
+    for ks in grids:
+        full = env.forms(line, ks)
+        single = np.array([env.forms(line, [k])[0] for k in ks])
+        assert full.tobytes() == single.tobytes()
+        assert full[2::5].tobytes() == env.forms(line, ks[2::5]).tobytes()
+        assert full[:1].tobytes() == env.forms(line, ks[:1]).tobytes()
+        # the fresh arrays of a one-k evaluation, with no workspace to carry values over
+        fresh = np.array([_pair_values(env.n, k, *lags).sum() for k in ks])
+        assert full.tobytes() == fresh.tobytes()
 
 
 def test_pair_path_beyond_one_block_matches_dense_sum():
@@ -604,10 +615,13 @@ def test_pair_path_beyond_one_block_matches_dense_sum():
                                         src.weights_array())
     env = HomogeneousGreens(1.4)
     k_grid = np.sort(rng.uniform(0.001, 0.03, 5))
-    for k, got in zip(k_grid, env.forms(src, k_grid)):
+    full = env.forms(src, k_grid)
+    for k, got in zip(k_grid, full):
         terms = weights.conjugate()[:, None] * weights * env.cdos_matrix(positions, orientations,
                                                                           k)
         assert abs(got - terms.real.sum()) <= 1e-12 * np.abs(terms).sum()
+    # the chunks' blocks differ in size, 8,192 x 1 and 323 x 5, in one workspace
+    assert full.tobytes() == np.concatenate([env.forms(src, [k]) for k in k_grid]).tobytes()
 
 
 def test_lag_path_beyond_one_block_matches_one_sum():
@@ -618,9 +632,12 @@ def test_lag_path_beyond_one_block_matches_one_sum():
     assert lags[0].size > _BLOCK
     env = HomogeneousGreens(1.2)
     k_grid = np.linspace(0.001, 0.02, 3)
-    for k, got in zip(k_grid, env.forms(line, k_grid)):
+    full = env.forms(line, k_grid)
+    for k, got in zip(k_grid, full):
         values = _pair_values(env.n, k, *lags)
         assert abs(got - values.sum()) <= 1e-12 * np.abs(values).sum()
+    # the chunks' blocks differ in size, 8,192 x 1 and 208 x 3, in one workspace
+    assert full.tobytes() == np.concatenate([env.forms(line, [k]) for k in k_grid]).tobytes()
 
 
 def test_pair_path_memory_at_2000_elements():

@@ -314,6 +314,16 @@ def test_mean_q_report_agrees_when_phases_equal():
     assert report["max_rel_dev_halfangle"] < 1e-9
 
 
+def test_mean_q_report_equal_phases_that_differ_in_the_last_bits():
+    # one lobe of one mode: atan2 of the two scaled fields differs in the last bit
+    pair = _single_qnm_pair(amplitude=0.881 + 0.473j)
+    a, b = _point(-121.8), _point(-20.1)
+    ks = np.linspace(pair.qnm_a.k_m - 1e-4, pair.qnm_a.k_m + 1e-4, 150)
+    report = mean_q_report(pair, a, b, ks)
+    assert report["phases_equal_per_mode"] == [True, True]  # mode b is dead
+    assert report["max_rel_dev_mean"] < 1e-9
+
+
 def test_mean_q_report_flags_disagreement():
     # opposite-sign lobes: phases differ by pi, tangents agree, half-angle does not
     pair = _single_qnm_pair()
