@@ -408,6 +408,26 @@ def _check_branch_continuity():
     return worst, "series vs closed-form radial factors at the switch point"
 
 
+def _check_radial_closed_form():
+    # the doubles at and next to the multiples of math.pi up to 300, where tan(x/2)
+    # is near its poles (odd multiples) and zeros (even ones), and a log grid
+    multiples = [m * math.pi for m in range(1, 96)]
+    xs = sorted({float(y) for x in multiples
+                 for y in (np.nextafter(x, 0.0), x, np.nextafter(x, math.inf))}
+                | set(np.geomspace(homogeneous.TAYLOR_SWITCH, 300.0, 200).tolist()))
+    a, b = homogeneous._factors_closed(np.array(xs))
+    worst = 0.0
+    for x, a_x, b_x in zip(xs, a.tolist(), b.tolist()):
+        sx, cx2, sx3 = math.sin(x) / x, math.cos(x) / x**2, math.sin(x) / x**3
+        worst = max(worst,
+                    abs(a_x - (sx + cx2 - sx3)) / (abs(sx) + abs(cx2) + abs(sx3)),
+                    abs(b_x - (-sx - 3.0 * cx2 + 3.0 * sx3))
+                    / (abs(sx) + 3.0 * abs(cx2) + 3.0 * abs(sx3)))
+    return worst, (f"tan(x/2) closed-form radial factors vs math.sin/math.cos at {len(xs)} x "
+                   "in [TAYLOR_SWITCH, 300] and next to multiples of pi, relative to the "
+                   "summed term magnitudes")
+
+
 def _check_symmetry():
     rng = np.random.default_rng(7)
     env = homogeneous.HomogeneousGreens(n=1.5)
@@ -568,6 +588,7 @@ def run_checks(verbose: bool = False) -> int:
     checks = [
         ("coincidence-ldos", _check_coincidence, 1e-9),
         ("radial-branch-continuity", _check_branch_continuity, 1e-10),
+        ("radial-closed-form", _check_radial_closed_form, 1e-14),
         ("cdos-symmetry", _check_symmetry, 1e-12),
         ("single-mode-factorization", _check_factorization, 1e-9),
         ("point-dipole-reduction", _check_point_reduction, 1e-12),

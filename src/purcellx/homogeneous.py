@@ -60,9 +60,10 @@ _B_INNER_COEFFS = (
 )
 
 #: Switch point between the series and closed-form branches of the radial
-#: factors.  At 0.25 both branches agree to ~1e-13 relative in either factor;
-#: much below ~0.1 the closed form can no longer deliver the longitudinal
-#: factor to full precision in doubles.
+#: factors.  At 0.25 both branches agree to ~1e-12 relative in either factor
+#: (B's closed form cancels terms about 2e4 times its size there); much below
+#: ~0.1 the closed form can no longer deliver the longitudinal factor to full
+#: precision in doubles.
 TAYLOR_SWITCH = 0.25
 
 #: Elements in one block of terms x wavenumbers: each slot of the workspace in
@@ -72,8 +73,9 @@ _BLOCK = 8192
 
 
 def _horner(coeffs, x2):
-    acc = coeffs[-1] * (x2 * 0 + 1.0)  # keeps scalar/array polymorphism
-    for c in reversed(coeffs[:-1]):
+    # seeded with the first step, so a scalar x2 gives a scalar
+    acc = coeffs[-1] * x2 + coeffs[-2]
+    for c in reversed(coeffs[:-2]):
         acc = acc * x2 + c
     return acc
 
@@ -88,28 +90,36 @@ def _factors_series(x):
 def _factors_closed(x, out=None):
     """The closed forms of (A, B) at x, a scalar or an array.
 
+    Both factors come from one tangent, ``t = tan(x/2)``, through the
+    half-angle identities ``sin x = 2t/(1 + t^2)`` and
+    ``cos x = (1 - t)(1 + t)/(1 + t^2)``: numpy's tangent costs a fifth to a
+    tenth of its sine or cosine.  Written as ``(1 - t)(1 + t)``, the
+    numerator of cos x keeps its relative accuracy where t is near 1.  Near
+    an odd multiple of pi t grows large (1.6e16 at the double nearest pi),
+    and ``t^2`` stays far from overflow.  With ``si = sin x/x``,
+    ``ci2 = cos x/x^2`` and ``g = si/x^2``, ``A = si + ci2 - g`` and
+    ``B = 3 (g - ci2) - si``: 20 elementwise passes, one of them the tangent.
+
     With ``out`` None every step makes a fresh result.  Otherwise ``out``
     holds six arrays of x's shape, slots that the steps write into (A and B
     return in the first two), so the call allocates nothing.  Both ways take
     every product and sum in the same order, so the values are bitwise the
     same.
     """
-    to_a, to_b, to_sx, to_cx, to_inv, to_inv2 = (None,) * 6 if out is None else out
-    sx = np.sin(x, out=to_sx)
-    cx = np.cos(x, out=to_cx)
+    to_a, to_b, to_t, to_d, to_c, to_inv = (None,) * 6 if out is None else out
+    t = np.tan(np.multiply(x, 0.5, out=to_t), out=to_t)
+    d = np.add(np.multiply(t, t, out=to_d), 1.0, out=to_d)
+    c = np.multiply(np.subtract(1.0, t, out=to_c), np.add(1.0, t, out=to_inv), out=to_c)
     inv = np.divide(1.0, x, out=to_inv)
-    inv2 = np.multiply(inv, inv, out=to_inv2)
-    # sx/x waits in b's slot, which b starts from by negating it
-    sxi = np.multiply(sx, inv, out=to_b)
-    a = np.add(sxi, np.multiply(cx, inv2, out=to_a), out=to_a)
-    # the dead sx, cx and inv make room for (3 cx)/x^2, ((3 sx)/x)/x^2 and (sx/x)/x^2
-    cx3 = np.multiply(np.multiply(3.0, cx, out=to_cx), inv2, out=to_cx)
-    sx3 = np.multiply(np.multiply(np.multiply(3.0, sx, out=to_sx), inv, out=to_sx), inv2,
-                      out=to_sx)
-    # a = sx/x + cx/x^2 - (sx/x)/x^2
-    a = np.subtract(a, np.multiply(sxi, inv2, out=to_inv), out=to_a)
-    # b = -sx/x - (3 cx)/x^2 + ((3 sx)/x)/x^2
-    b = np.add(np.subtract(np.negative(sxi, out=to_b), cx3, out=to_b), sx3, out=to_b)
+    # the dead t's slot takes sin x/x and the numerator's slot cos x; once inv
+    # is 1/x^2, the dead d's slot takes g
+    si = np.multiply(np.divide(np.add(t, t, out=to_t), d, out=to_t), inv, out=to_t)
+    c = np.divide(c, d, out=to_c)
+    inv2 = np.multiply(inv, inv, out=to_inv)
+    ci2 = np.multiply(c, inv2, out=to_c)
+    g = np.multiply(si, inv2, out=to_d)
+    a = np.subtract(np.add(si, ci2, out=to_a), g, out=to_a)
+    b = np.subtract(np.multiply(np.subtract(g, ci2, out=to_b), 3.0, out=to_b), si, out=to_b)
     return a, b
 
 

@@ -104,9 +104,9 @@ def _mode_fields(model, positions: np.ndarray, orientations: np.ndarray):
     """Each mode's field ``v_m`` on M polarized points, in mode order: the one
     projection of the pole quantities, taken lazily as a caller iterates.
 
-    :func:`_pole_sum` reads it as its loop reaches each mode, after its k
-    check; a caller that needs the fields for more than one sum takes them
-    once as a list.
+    :func:`_pole_sum` reads it as its loop reaches each mode, so a caller
+    that checks k before the sum checks it before any projection; a caller
+    that needs the fields for more than one sum takes them once as a list.
     """
     return (projected_field_many(mode.field, positions, orientations)
             for mode in model.structured_modes())
@@ -120,9 +120,9 @@ def _pole_sum(model, fields, k, weight):
     from the model class's ``_cross`` or ``_form``: ``_cross`` over the
     (M, M) outer product ``v_m v_m^T``, over its diagonal or between two
     points, and, given source weights ``w``, ``_form(w^H v_m, v_m^T w)``,
-    whose ``Im(sum)/pi`` over a k grid is ``w^H rho(k) w``.
+    whose ``Im(sum)/pi`` over a k grid is ``w^H rho(k) w``.  The caller has
+    checked ``k``, once.
     """
-    _require_k(k)
     total = 0.0
     for mode, v in zip(model.structured_modes(), fields):
         total = total + weight(v) * (1.0 / (complex(mode.k_m, -0.5 * mode.gamma_m) - k))
@@ -132,6 +132,7 @@ def _pole_sum(model, fields, k, weight):
 def _pole_matrix(model, positions: np.ndarray, orientations: np.ndarray,
                  k: Wavenumber) -> np.ndarray:
     """The (M, M) CDOS matrix of a pole model over M polarized points."""
+    _require_k(k)
     return _pole_sum(model, _mode_fields(model, positions, orientations), k,
                      lambda v: model._cross(v[:, None], v)).imag / math.pi
 
@@ -139,6 +140,7 @@ def _pole_matrix(model, positions: np.ndarray, orientations: np.ndarray,
 def _pole_ldos(model, positions: np.ndarray, orientations: np.ndarray,
                k: Wavenumber) -> np.ndarray:
     """The diagonal of :func:`_pole_matrix` in O(M): the projected LDOS at each point."""
+    _require_k(k)
     return _pole_sum(model, _mode_fields(model, positions, orientations), k,
                      lambda v: model._cross(v, v)).imag / math.pi
 
@@ -149,9 +151,10 @@ def _pole_forms(model, src: ExtendedSource, k_grid) -> np.ndarray:
     Each mode's field is projected on the source once; the grid then costs
     one pole per mode and k, with no M x M array.
     """
+    k_grid = _require_k_grid(k_grid)
     w = src.weights_array()
     fields = _mode_fields(model, src.positions_array(), src.orientations_array())
-    return _pole_sum(model, fields, _require_k_grid(k_grid),
+    return _pole_sum(model, fields, k_grid,
                      lambda v: model._form(np.vdot(w, v), v @ w)).imag / math.pi
 
 

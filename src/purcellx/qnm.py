@@ -41,6 +41,7 @@ from .core import (
     Wavenumber,
     _point_arrays,
     _require_finite,
+    _require_k,
     _require_k_grid,
     _require_positive,
     _two_point,
@@ -117,8 +118,9 @@ def green_qnm_projected(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
     fields ``u_a.E(r_a)`` and ``u_b.E(r_b)``, so ``(2k/pi) Im`` of it is
     :func:`cdos_qnm`.
     """
-    return complex(_pole_sum(pair, _mode_fields(pair, *_point_arrays(a, b)), k,
-                             lambda v: pair._cross(*v))) / (2.0 * k)
+    fields = _mode_fields(pair, *_point_arrays(a, b))
+    _require_k(k)
+    return complex(_pole_sum(pair, fields, k, lambda v: pair._cross(*v))) / (2.0 * k)
 
 
 cdos_qnm = _two_point

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from purcellx import cli
+from purcellx import cli, homogeneous
 from purcellx.cli import main
 
 POINT_SPECTRUM = """\
@@ -251,6 +251,15 @@ def test_check_passes_and_fault_hook_fails(capsys, monkeypatch):
     assert main(["check"]) == 1
     out = capsys.readouterr().out
     assert "FAIL coincidence-ldos" in out
+
+
+def test_radial_closed_form_check_sees_a_kernel_off_in_the_last_digits(capsys, monkeypatch):
+    closed = homogeneous._factors_closed
+    monkeypatch.setattr(homogeneous, "_factors_closed",
+                        lambda x, out=None: tuple(f * (1.0 + 1e-13) for f in closed(x, out)))
+    assert main(["check"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL radial-closed-form" in out
 
 
 def test_check_verbose_lists_residuals(capsys):

@@ -60,6 +60,60 @@ def test_branch_continuity_near_threshold():
         assert abs(b_s - b_c) / abs(b_c) < 1e-10
 
 
+def _closed_form_points():
+    """3,000 x in [TAYLOR_SWITCH, 300], then the doubles at and next to the multiples
+    of pi up to 300: m*math.pi, the double nearest m*pi and two ulps either side."""
+    rng = np.random.default_rng(2025)
+    spread = [rng.uniform(TAYLOR_SWITCH, 300.0, 2000), np.geomspace(TAYLOR_SWITCH, 300.0, 1000)]
+    near = set()
+    for m in range(1, 96):
+        for x in (m * math.pi, float(m * mp.pi)):
+            for steps in range(-2, 3):
+                near.add(float(x + steps * np.spacing(x)))
+    return np.concatenate(spread + [np.array(sorted(near))])
+
+
+def test_closed_form_matches_high_precision_oracle_up_to_300():
+    """tan(x/2) gives sin x and cos x: near odd multiples of pi t grows to about
+    1e16, near even ones it falls to about 1e-16, and neither loses A or B."""
+    x = _closed_form_points()
+    assert x.size > 3000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = _factors_closed(x)
+    worst_a = worst_b = 0.0
+    for xi, ai, bi in zip(x.tolist(), a.tolist(), b.tolist()):
+        xm = mp.mpf(xi)
+        sx, cx2, sx3 = mp.sin(xm) / xm, mp.cos(xm) / xm**2, mp.sin(xm) / xm**3
+        worst_a = max(worst_a, abs(ai - (sx + cx2 - sx3)) / (abs(sx) + abs(cx2) + abs(sx3)))
+        worst_b = max(worst_b, abs(bi - (-sx - 3 * cx2 + 3 * sx3))
+                      / (abs(sx) + 3 * abs(cx2) + 3 * abs(sx3)))
+    assert worst_a <= 1e-15
+    assert worst_b <= 1e-15
+
+
+def test_closed_form_is_the_same_on_any_layout_and_in_slots():
+    x = _closed_form_points()
+    spaced = np.zeros(2 * x.size)
+    spaced[::2] = x
+    view = spaced[::2]
+    fresh = _factors_closed(view.copy())
+    slots = tuple(np.empty(x.size) for _ in range(6))
+    for got in (_factors_closed(view), _factors_closed(x, slots)):
+        assert got[0].tobytes() == fresh[0].tobytes()
+        assert got[1].tobytes() == fresh[1].tobytes()
+    # the slotted call returns A and B in the first two slots
+    assert got[0] is slots[0] and got[1] is slots[1]
+
+
+def test_series_takes_scalars_and_arrays_alike():
+    x = np.linspace(0.0, TAYLOR_SWITCH, 101)
+    a, b = _factors_series(x)
+    for xi, ai, bi in zip(x.tolist(), a.tolist(), b.tolist()):
+        assert _factors_series(xi) == (ai, bi)
+    assert isinstance(_factors_series(TAYLOR_SWITCH)[0], float)
+
+
 def test_transverse_factor_at_pi():
     a, _ = radial_factors(math.pi)
     assert a == pytest.approx(-1.0 / math.pi**2, rel=1e-12)

@@ -18,6 +18,7 @@ from purcellx import (
     projected_field,
     surrogate_l3,
 )
+from purcellx import core, modal
 from purcellx.modal import DEFAULT_SURROGATE_K_M
 
 Y = Orientation(0.0, 1.0, 0.0)
@@ -198,3 +199,40 @@ def test_grid_field_mode_out_of_domain_propagates():
     ms = ModeSet((mode,))
     with pytest.raises(OutOfDomainError):
         cdos_modal(ms, _point(100.0), _point(0.0), 0.005)
+
+
+@pytest.mark.parametrize("kind", ["modes", "qnm"])
+def test_pole_forms_check_the_k_grid_once_and_before_any_projection(kind, monkeypatch):
+    from purcellx import GridField, OutOfDomainError, Qnm, QnmPair, pair_source
+
+    data = np.random.default_rng(9).normal(size=(4, 4, 3)).astype(complex)
+    grid = GridField(data, origin=(-30.0, -30.0), spacing=(20.0, 20.0))
+    if kind == "modes":
+        model = ModeSet((LossyMode(grid, k_m=0.005, gamma_m=1e-5),))
+    else:
+        model = QnmPair(Qnm(grid, k_m=0.005, gamma_m=1e-5), Qnm(grid, k_m=0.0051, gamma_m=2e-5))
+    # (100, 0, 0) lies outside the grid's x range [-30, 30]
+    outside = pair_source(_point(0.0), _point(100.0), 1.0, 0.3)
+    checks = []
+    counted = core._require_k
+
+    def counting(k):
+        checks.append(k)
+        counted(k)
+
+    monkeypatch.setattr(core, "_require_k", counting)
+    monkeypatch.setattr(modal, "_require_k", counting)
+    for k_grid in (0.005, [[0.004, 0.005]], []):
+        with pytest.raises(InvalidArgumentError, match="k grid must be a non-empty 1D array"):
+            model.forms(outside, k_grid)
+    assert checks == []
+    for bad in (-0.005, 0.0, math.nan, math.inf):
+        with pytest.raises(InvalidArgumentError, match=f"wavenumber must be positive, got {bad!r}"):
+            model.forms(outside, [0.005, bad])
+    assert len(checks) == 4
+    with pytest.raises(OutOfDomainError, match="outside grid axis 0"):
+        model.forms(outside, [0.004, 0.005])
+    assert len(checks) == 5
+    inside = pair_source(_point(-10.0), _point(20.0), 1.0, 0.3)
+    assert model.forms(inside, [0.004, 0.005]).shape == (2,)
+    assert len(checks) == 6
