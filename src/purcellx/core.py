@@ -205,6 +205,12 @@ def _two_point(model, a: PolarizedPoint, b: PolarizedPoint, k: Wavenumber) -> fl
     return float(model.cdos_matrix(*_point_arrays(a, b), k)[0, 1])
 
 
+def _forms(model, src, k_grid) -> np.ndarray:
+    """``w^H rho(k) w`` of a source over a k grid, checked before the k-free ``reduce``."""
+    k_grid = _require_k_grid(k_grid)
+    return model.evaluate(model.reduce(src), k_grid)
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Samples of a frequency-dependent quantity on an ascending k grid."""

@@ -12,9 +12,10 @@ models the LDOS far from resonance would otherwise be zero and the ratio
 meaningless, which is also why CLI compositions always add a homogeneous
 background.
 
-A sweep asks each distinct model part once for its ``forms``, the values
-``w^H rho(k) w`` over the whole k grid.  No value depends on the other
-points of the grid, so a sweep agrees bitwise with :func:`decay_rate`.
+A call checks its k grid once; each distinct model part then ``reduce``s the
+source to k-free values, one reduction for all homogeneous media, and
+``evaluate``s them.  No value depends on the other points of the grid, so a
+sweep agrees bitwise with :func:`decay_rate`.
 :func:`coherence_classification` takes its coherent sum the same way and its
 incoherent sum from each model's per-point LDOS, ``ldos_many``.  No function
 here builds the M x M ``cdos_matrix``: a homogeneous sum costs its terms
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Union
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -40,14 +41,14 @@ from .core import (
     Spectrum,
     SweepPointError,
     Wavenumber,
+    _forms,
     _require_count,
     _require_k,
+    _require_k_grid,
     _two_point,
 )
 from .fields import projected_field
 from .homogeneous import HomogeneousGreens
-from .modal import ModeSet
-from .qnm import QnmPair
 from .sources import ExtendedSource, default_element_count, line_source, pair_source
 
 __all__ = [
@@ -67,10 +68,9 @@ class GreensModel(Protocol):
     """Contract every environment model satisfies.
 
     ``ldos_many`` is the projected LDOS ``rho(P_i, P_i, k)`` at each of M
-    polarized points, shape (M,), and ``forms`` the values ``w^H rho(k) w`` of
-    a source at each k of a grid, shape (K,).  Neither builds the M x M CDOS
-    matrix; the kernel models keep a ``cdos_matrix`` as their two-point kernel
-    and the oracle of both.
+    polarized points, shape (M,); ``forms`` checks a k grid, then ``evaluate``s
+    the k-free ``reduce`` of a source to ``w^H rho(k) w`` at each k, shape (K,).
+    None builds the M x M CDOS matrix; ``cdos_matrix`` is the kernel and oracle.
     """
 
     @property
@@ -81,22 +81,23 @@ class GreensModel(Protocol):
     def ldos_many(self, positions: np.ndarray, orientations: np.ndarray,
                   k: Wavenumber) -> np.ndarray: ...
 
+    def reduce(self, src: ExtendedSource): ...
+
+    def evaluate(self, reduction, k_grid: np.ndarray) -> np.ndarray: ...
+
     def forms(self, src: ExtendedSource, k_grid) -> np.ndarray: ...
-
-
-StructuredModel = Union[ModeSet, QnmPair]
 
 
 @dataclass(frozen=True)
 class CompositeGreens:
-    """Homogeneous radiative background plus a structured resonant model.
+    """Homogeneous radiative background plus a structured resonant model or composite.
 
     CDOS contributions add (the underlying Im G is additive), which keeps
     the LDOS nonzero away from resonances and prevents 0/0 ratios.
     """
 
     background: HomogeneousGreens
-    structured: StructuredModel
+    structured: GreensModel
 
     @property
     def background_index(self) -> float:
@@ -117,9 +118,14 @@ class CompositeGreens:
         return self.background.ldos_many(positions, orientations, k) + \
             self.structured.ldos_many(positions, orientations, k)
 
-    def forms(self, src: ExtendedSource, k_grid) -> np.ndarray:
-        """The background's forms plus the structured part's; a sweep asks each part itself."""
-        return self.background.forms(src, k_grid) + self.structured.forms(src, k_grid)
+    def reduce(self, src: ExtendedSource) -> tuple:
+        return self.background.reduce(src), self.structured.reduce(src)
+
+    def evaluate(self, reduction: tuple, k_grid: np.ndarray) -> np.ndarray:
+        return self.background.evaluate(reduction[0], k_grid) + \
+            self.structured.evaluate(reduction[1], k_grid)
+
+    forms = _forms
 
 
 @dataclass(frozen=True)
@@ -150,15 +156,17 @@ class LengthSweep:
 
 
 def _double_sums(src: ExtendedSource, k_grid: np.ndarray, *models: GreensModel) -> tuple:
-    """``w^H rho(k) w`` of each model over ``k_grid``; each distinct part is contracted once."""
-    forms: dict = {}
-    sums = []
+    """``w^H rho(k) w`` of each model over a checked ``k_grid``: one reduction per
+    distinct ``reduce``, one evaluation per distinct part."""
+    reductions, forms, sums = {}, {}, []
     for model in models:
         parts = (model.background, model.structured) if isinstance(model, CompositeGreens) \
             else (model,)
         for part in parts:
             if part not in forms:
-                forms[part] = part.forms(src, k_grid)
+                if part.reduce not in reductions:
+                    reductions[part.reduce] = part.reduce(src)
+                forms[part] = part.evaluate(reductions[part.reduce], k_grid)
         sums.append(sum(forms[part] for part in parts))
     return tuple(sums)
 
@@ -200,7 +208,7 @@ def decay_rate(src: ExtendedSource, env: GreensModel, ref_env: GreensModel,
     Scaling every weight by a common nonzero constant leaves the ratio
     unchanged; a point source reduces it to the plain LDOS ratio.
     """
-    num, den = _double_sums(src, np.array([k], dtype=float), env, ref_env)
+    num, den = _double_sums(src, _require_k_grid([k]), env, ref_env)
     numerator, denominator = float(num[0]), float(den[0])
     _require_reference(denominator)
     return RateResult(numerator / denominator, numerator, denominator, k)
@@ -215,7 +223,7 @@ def two_dipole_rate(a: PolarizedPoint, b: PolarizedPoint, p: float, phase: float
     interference term flips sign with the CDOS, so the same phase can be
     superradiant at one pair of points and subradiant at another.
     """
-    (num,) = _double_sums(pair_source(a, b, p, phase), np.array([k], dtype=float), env)
+    (num,) = _double_sums(pair_source(a, b, p, phase), _require_k_grid([k]), env)
     return float(num[0])
 
 
@@ -309,5 +317,5 @@ def coherence_classification(src: ExtendedSource, env: GreensModel,
         raise DegenerateReferenceError(
             f"incoherent rate is {incoherent!r}; classification undefined"
         )
-    (coherent,) = _double_sums(src, np.array([k], dtype=float), env)
+    (coherent,) = _double_sums(src, _require_k_grid([k]), env)
     return float(coherent[0]) / incoherent

@@ -18,9 +18,9 @@ import numpy as np
 from .core import (
     PolarizedPoint,
     Wavenumber,
+    _forms,
     _require_at_least,
     _require_k,
-    _require_k_grid,
     _two_point,
 )
 from .sources import ExtendedSource
@@ -184,32 +184,28 @@ class HomogeneousGreens:
         return _pair_values(self.n, k, zeros, np.einsum("ij,ij->i", orientations, orientations),
                             zeros)
 
-    def forms(self, src: ExtendedSource, k_grid) -> np.ndarray:
-        """The values ``w^H rho(k) w`` of a source over a non-empty 1-D wavenumber grid.
-
-        The k-free terms are built once: over the distinct separations of a
-        lattice source (:func:`_lag_terms`) when its lattice has strictly
-        fewer lags than the source has pairs, and otherwise over its pairs
-        (:func:`_pair_terms`), so a point, a pair and a two-element line take
-        their 1-3 pair terms with no transform.  The terms then cost the
-        radial factors and one sum per k, taken in blocks of at most
-        ``_BLOCK`` elements, all in one workspace per call
-        (:func:`_blocked_sums`), so memory does not grow with the grid.  A
-        k's value does not depend on the other points of the grid.
-        """
-        k_grid = _require_k_grid(k_grid)
+    @staticmethod
+    def reduce(src: ExtendedSource):
+        """The k- and n-free terms of a source, in chunks of at most ``_BLOCK``, for
+        every medium: over the distinct separations of a lattice source
+        (:func:`_lag_terms`) when it has strictly fewer lags than pairs, else
+        over its pairs (:class:`_PairTerms`), so a point, a pair and a
+        two-element line take their 1-3 pair terms with no transform."""
         m = len(src)
         lattice = src._lattice
         # the extent of a (3, M) copy: numpy reduces an (M, 3) array slowly along M
         if lattice is not None and \
                 np.prod(2 * np.ptp(lattice[1].T.copy(), axis=1) + 1) < m * (m + 1) // 2:
             r, alpha, beta = _lag_terms(*lattice, src.orientations_array(), src.weights_array())
-            chunks = ((r[s:s + _BLOCK], alpha[s:s + _BLOCK], beta[s:s + _BLOCK])
-                      for s in range(0, r.size, _BLOCK))
-        else:
-            chunks = _pair_terms(src.positions_array(), src.orientations_array(),
-                                 src.weights_array())
-        return _blocked_sums(self.n, k_grid, chunks)
+            return [(r[s:s + _BLOCK], alpha[s:s + _BLOCK], beta[s:s + _BLOCK])
+                    for s in range(0, r.size, _BLOCK)]
+        return _PairTerms(src.positions_array(), src.orientations_array(), src.weights_array())
+
+    def evaluate(self, terms, k_grid: np.ndarray) -> np.ndarray:
+        """``w^H rho(k) w`` on a checked grid, from the terms (:func:`_blocked_sums`)."""
+        return _blocked_sums(self.n, k_grid, terms)
+
+    forms = _forms
 
 
 def _separations(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,25 +223,31 @@ def _pair_geometry(positions: np.ndarray, orientations: np.ndarray, iu: np.ndarr
             np.einsum("ij,ij->i", ui, unit) * np.einsum("ij,ij->i", uj, unit))
 
 
-def _pair_terms(positions: np.ndarray, orientations: np.ndarray, weights: np.ndarray):
-    """``(r, alpha, beta)`` over the pairs i <= j of a weighted source, in chunks.
-
-    ``alpha`` and ``beta`` are ``u_i.u_j`` and ``(u_i.R^)(u_j.R^)`` times
-    ``(2 - delta_ij) Re(conj(w_i) w_j)``: an off-diagonal pair stands for both
-    (i, j) and (j, i) of the Hermitian sum.  The pairs come in the row order of
-    ``np.triu_indices``, ``_BLOCK`` at a time, so no array holds all M(M+1)/2.
+class _PairTerms:
+    """``(r, alpha, beta)`` over the pairs i <= j of a weighted source, in chunks
+    made anew at each iteration.  ``alpha`` and ``beta`` are ``u_i.u_j`` and
+    ``(u_i.R^)(u_j.R^)`` times ``(2 - delta_ij) Re(conj(w_i) w_j)``: an
+    off-diagonal pair stands for both (i, j) and (j, i) of the Hermitian sum.
+    The pairs come in the row order of ``np.triu_indices``, ``_BLOCK`` at a
+    time, so no array holds all M(M+1)/2.
     """
-    m = positions.shape[0]
-    pairs = m * (m + 1) // 2
-    # the triangle's row i starts at pair number starts[i]
-    starts = np.concatenate(([0], np.cumsum(np.arange(m, 0, -1))))
-    for first in range(0, pairs, _BLOCK):
-        t = np.arange(first, min(first + _BLOCK, pairs))
-        iu = np.searchsorted(starts, t, side="right") - 1
-        ju = iu + (t - starts[iu])
-        r, uu, urur = _pair_geometry(positions, orientations, iu, ju)
-        c = np.where(iu == ju, 1.0, 2.0) * (weights[iu].conjugate() * weights[ju]).real
-        yield r, uu * c, urur * c
+
+    def __init__(self, positions: np.ndarray, orientations: np.ndarray, weights: np.ndarray):
+        self.arrays = positions, orientations, weights
+
+    def __iter__(self):
+        positions, orientations, weights = self.arrays
+        m = positions.shape[0]
+        pairs = m * (m + 1) // 2
+        # the triangle's row i starts at pair number starts[i]
+        starts = np.concatenate(([0], np.cumsum(np.arange(m, 0, -1))))
+        for first in range(0, pairs, _BLOCK):
+            t = np.arange(first, min(first + _BLOCK, pairs))
+            iu = np.searchsorted(starts, t, side="right") - 1
+            ju = iu + (t - starts[iu])
+            r, uu, urur = _pair_geometry(positions, orientations, iu, ju)
+            c = np.where(iu == ju, 1.0, 2.0) * (weights[iu].conjugate() * weights[ju]).real
+            yield r, uu * c, urur * c
 
 
 def _fast_length(m: int) -> int:
@@ -379,7 +381,7 @@ def _pair_values(n: float, k: Wavenumber, r, alpha, beta, out=None) -> np.ndarra
     """Pair CDOS ``(2k/pi) Im[u_i . G u_j]`` from ``alpha``, ``beta`` at separations ``r``.
 
     Plain terms are ``alpha = u_i.u_j`` and ``beta = (u_i.R^)(u_j.R^)``;
-    weighted terms (:func:`_pair_terms`, :func:`_lag_terms`) give weighted
+    weighted terms (:class:`_PairTerms`, :func:`_lag_terms`) give weighted
     values.  Only the radial factors depend on k.  ``out`` is None, for a
     fresh result, or seven slots of the result's shape: one for ``n k r``
     and six for :func:`_factors_closed`; the values come back in the

@@ -7,10 +7,10 @@ over its modes, and every quantity it gives is ``Im(S)/pi``.  The weight
 thing a model class states, once in its body: ``_cross(x, y)`` between the
 fields ``x``, ``y`` at two points, and ``_form(x, y)`` for a source's
 ``w^H rho w`` given ``x = w^H v``, ``y = v^T w``.  Each mode's field is
-projected once per call, by :func:`_mode_fields`, and the sum reads those
-fields; the sum itself is written once (:func:`_pole_sum`), and so are the
-CDOS matrix, its diagonal and the source forms built on it
-(:func:`_pole_matrix`, :func:`_pole_ldos`, :func:`_pole_forms`):
+projected once per call, by :func:`_mode_fields`; the sum over the weights
+is written once (:func:`_pole_sum`), and so are the CDOS matrix
+(:func:`_pole_matrix`), its diagonal and a source's k-free weights with
+their value on a k grid (the methods of :class:`_PoleExpansion`):
 
 * a lossy mode (:class:`ModeSet`) weighs its pole by the real
   ``Re(x conj(y))``, and a source by ``(|x|^2 + |y|^2)/2``, so each line is
@@ -40,8 +40,8 @@ from .core import (
     InvalidArgumentError,
     Orientation,
     Wavenumber,
+    _forms,
     _require_k,
-    _require_k_grid,
     _require_positive,
     _two_point,
     wavelength_to_k,
@@ -102,30 +102,23 @@ class LossyMode(_PoleMode):
 
 def _mode_fields(model, positions: np.ndarray, orientations: np.ndarray):
     """Each mode's field ``v_m`` on M polarized points, in mode order: the one
-    projection of the pole quantities, taken lazily as a caller iterates.
-
-    :func:`_pole_sum` reads it as its loop reaches each mode, so a caller
-    that checks k before the sum checks it before any projection; a caller
-    that needs the fields for more than one sum takes them once as a list.
-    """
+    projection of the pole quantities, taken lazily as a caller iterates, so a
+    caller that checks k first checks it before any projection."""
     return (projected_field_many(mode.field, positions, orientations)
             for mode in model.structured_modes())
 
 
-def _pole_sum(model, fields, k, weight):
-    """Pole expansion: the complex ``sum_m weight(v_m) / (k_m - i g_m/2 - k)``.
+def _pole_sum(model, weights, k):
+    """Pole expansion: the complex ``sum_m Z_m / (k_m - i g_m/2 - k)``.
 
-    ``fields`` are the modes' fields ``v_m`` on M polarized points
-    (:func:`_mode_fields`) and ``weight(v_m)`` mode m's weight ``Z_m``, built
-    from the model class's ``_cross`` or ``_form``: ``_cross`` over the
-    (M, M) outer product ``v_m v_m^T``, over its diagonal or between two
-    points, and, given source weights ``w``, ``_form(w^H v_m, v_m^T w)``,
-    whose ``Im(sum)/pi`` over a k grid is ``w^H rho(k) w``.  The caller has
-    checked ``k``, once.
+    ``weights`` are the ``Z_m`` in mode order: the model class's ``_cross`` of
+    the fields (:func:`_mode_fields`) over the outer product ``v_m v_m^T``,
+    its diagonal or two points, or a source's ``_form``
+    (:meth:`_PoleExpansion.reduce`).  The caller has checked ``k``, once.
     """
     total = 0.0
-    for mode, v in zip(model.structured_modes(), fields):
-        total = total + weight(v) * (1.0 / (complex(mode.k_m, -0.5 * mode.gamma_m) - k))
+    for mode, z in zip(model.structured_modes(), weights):
+        total = total + z * (1.0 / (complex(mode.k_m, -0.5 * mode.gamma_m) - k))
     return total
 
 
@@ -133,33 +126,40 @@ def _pole_matrix(model, positions: np.ndarray, orientations: np.ndarray,
                  k: Wavenumber) -> np.ndarray:
     """The (M, M) CDOS matrix of a pole model over M polarized points."""
     _require_k(k)
-    return _pole_sum(model, _mode_fields(model, positions, orientations), k,
-                     lambda v: model._cross(v[:, None], v)).imag / math.pi
+    return _pole_sum(model, (model._cross(v[:, None], v) for v in
+                             _mode_fields(model, positions, orientations)), k).imag / math.pi
 
 
-def _pole_ldos(model, positions: np.ndarray, orientations: np.ndarray,
-               k: Wavenumber) -> np.ndarray:
-    """The diagonal of :func:`_pole_matrix` in O(M): the projected LDOS at each point."""
-    _require_k(k)
-    return _pole_sum(model, _mode_fields(model, positions, orientations), k,
-                     lambda v: model._cross(v, v)).imag / math.pi
+class _PoleExpansion:
+    """The methods every pole model shares.  A model class states its ``_cross``
+    and ``_form``, and binds :func:`_pole_matrix` as ``cdos_matrix`` itself, in
+    its own namespace, where the benchmark's tracer wraps it."""
 
+    cdos = _two_point
+    forms = _forms
 
-def _pole_forms(model, src: ExtendedSource, k_grid) -> np.ndarray:
-    """The values ``w^H rho(k) w`` of a source over a non-empty 1-D wavenumber grid.
+    def ldos_many(self, positions: np.ndarray, orientations: np.ndarray,
+                  k: Wavenumber) -> np.ndarray:
+        """The diagonal of :func:`_pole_matrix` in O(M): the projected LDOS at each point."""
+        _require_k(k)
+        return _pole_sum(self, (self._cross(v, v) for v in
+                                _mode_fields(self, positions, orientations)), k).imag / math.pi
 
-    Each mode's field is projected on the source once; the grid then costs
-    one pole per mode and k, with no M x M array.
-    """
-    k_grid = _require_k_grid(k_grid)
-    w = src.weights_array()
-    fields = _mode_fields(model, src.positions_array(), src.orientations_array())
-    return _pole_sum(model, fields, k_grid,
-                     lambda v: model._form(np.vdot(w, v), v @ w)).imag / math.pi
+    def reduce(self, src: ExtendedSource) -> list:
+        """A source's k-free weight ``Z_m = _form(w^H v_m, v_m^T w)`` of each mode, in
+        mode order; each mode's field is projected on the source once."""
+        w = src.weights_array()
+        return [self._form(np.vdot(w, v), v @ w)
+                for v in _mode_fields(self, src.positions_array(), src.orientations_array())]
+
+    def evaluate(self, weights: list, k_grid: np.ndarray) -> np.ndarray:
+        """``w^H rho(k) w`` over a checked grid from the weights of :meth:`reduce`:
+        one pole per mode and k, with no M x M array."""
+        return _pole_sum(self, weights, k_grid).imag / math.pi
 
 
 @dataclass(frozen=True)
-class ModeSet:
+class ModeSet(_PoleExpansion):
     """Non-empty collection of lossy modes acting as a Green's model.
 
     Between points where a mode field has opposite signs, that mode's CDOS
@@ -188,10 +188,7 @@ class ModeSet:
         """Weight of ``w^H rho w``: ``(|x|^2 + |y|^2)/2``."""
         return 0.5 * (abs(x) ** 2 + abs(y) ** 2)
 
-    cdos = _two_point
     cdos_matrix = _pole_matrix
-    ldos_many = _pole_ldos
-    forms = _pole_forms
 
 
 cdos_modal = _two_point

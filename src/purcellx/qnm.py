@@ -48,8 +48,7 @@ from .core import (
 )
 # projected_field_many is bound here too: the benchmark's tracer wraps it by module
 from .fields import projected_field, projected_field_many  # noqa: F401
-from .modal import (ModeSet, _mode_fields, _pole_forms, _pole_ldos, _pole_matrix, _pole_sum,
-                    _PoleMode)
+from .modal import ModeSet, _mode_fields, _pole_matrix, _pole_sum, _PoleExpansion, _PoleMode
 
 __all__ = [
     "Qnm",
@@ -87,7 +86,7 @@ class Qnm(_PoleMode):
 
 
 @dataclass(frozen=True)
-class QnmPair:
+class QnmPair(_PoleExpansion):
     """Two coupled-cavity quasinormal modes acting as a Green's model."""
 
     qnm_a: Qnm
@@ -103,10 +102,7 @@ class QnmPair:
         return x * y
 
     _form = _cross
-    cdos = _two_point
     cdos_matrix = _pole_matrix
-    ldos_many = _pole_ldos
-    forms = _pole_forms
 
 
 def green_qnm_projected(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
@@ -120,7 +116,7 @@ def green_qnm_projected(pair: QnmPair, a: PolarizedPoint, b: PolarizedPoint,
     """
     fields = _mode_fields(pair, *_point_arrays(a, b))
     _require_k(k)
-    return complex(_pole_sum(pair, fields, k, lambda v: pair._cross(*v))) / (2.0 * k)
+    return complex(_pole_sum(pair, (pair._cross(*v) for v in fields), k)) / (2.0 * k)
 
 
 cdos_qnm = _two_point
@@ -216,22 +212,22 @@ def _require_pole_model(pair) -> None:
         raise InvalidArgumentError(f"{type(pair).__name__} is not a pole model (ModeSet, QnmPair)")
 
 
-def _point_fields(pair, a: PolarizedPoint, b: PolarizedPoint) -> list:
-    """Each mode's fields ``(z_a, z_b)`` at the two points, in mode order,
-    projected once; a model that is not a pole model is refused first."""
+def _point_fields(pair, a: PolarizedPoint, b: PolarizedPoint) -> tuple[list, list]:
+    """Each mode's fields ``(z_a, z_b)`` at the two points, projected once, and its
+    weight ``pair._cross(z_a, z_b)``, in mode order; a non-pole model is refused first."""
     _require_pole_model(pair)
-    return list(_mode_fields(pair, *_point_arrays(a, b)))
+    fields = list(_mode_fields(pair, *_point_arrays(a, b)))
+    return fields, [pair._cross(*v) for v in fields]
 
 
-def _decompose(pair, fields: list) -> list[tuple]:
+def _decompose(pair, fields: list, weights: list) -> list[tuple]:
     """Per mode with a nonzero projected field at both points: its exact Fano
     term (the module's identity) and its field phases at the two points,
-    read from the fields of :func:`_point_fields`."""
+    read from the fields and weights of :func:`_point_fields`."""
     live = []
-    for index, (mode, (za, zb)) in enumerate(zip(pair.structured_modes(), fields)):
+    for index, (mode, (za, zb), z) in enumerate(zip(pair.structured_modes(), fields, weights)):
         if min(abs(za), abs(zb)) < ZERO_FIELD_CUTOFF:
             continue
-        z = pair._cross(za, zb)
         # either sign of a negative real weight's argument gives the infinite q
         term = FanoTerm(index, _tan_or_inf(0.5 * math.atan2(z.imag, z.real)),
                         float(-2.0 * abs(z) / (math.pi * mode.gamma_m)))
@@ -252,7 +248,7 @@ def fano_decompose_cdos(pair: ModeSet | QnmPair, a: PolarizedPoint,
     module docstring; the sum over modes reproduces ``pair.cdos(a, b, k)``
     identically, for a :class:`QnmPair` and a :class:`ModeSet` alike.
     """
-    return [term for term, _, _ in _decompose(pair, _point_fields(pair, a, b))]
+    return [term for term, _, _ in _decompose(pair, *_point_fields(pair, a, b))]
 
 
 def reconstruct_cdos(pair: ModeSet | QnmPair, terms: list[FanoTerm], k):
@@ -280,18 +276,18 @@ def mean_q_report(pair: ModeSet | QnmPair, a: PolarizedPoint, b: PolarizedPoint,
     (-pi, pi], is at most ``_PHASE_TOL`` = 1e-12 rad in magnitude: two points
     in one lobe of a mode have the same phase, but ``atan2`` of fields
     scaled by different real factors can differ in the last bits.  Each
-    mode's field is projected once, and the direct sum and the
-    decomposition read the same fields.
+    mode's field is projected and weighed once, and the direct sum and the
+    decomposition read the same weights.
     The mean convention is built from the field phases, which shape only a
     QNM's term: a :class:`ModeSet`'s weights are real, so its
     ``max_rel_dev_mean`` is ``nan``.  Intended for diagnostic output, not
     assertions.
     """
     k_grid = _require_k_grid(k_grid)
-    fields = _point_fields(pair, a, b)
-    live = _decompose(pair, fields)
-    # the (a, b) entry of the CDOS matrix from the same fields (z_a, z_b)
-    direct = _pole_sum(pair, fields, k_grid, lambda v: pair._cross(*v)).imag / math.pi
+    fields, weights = _point_fields(pair, a, b)
+    live = _decompose(pair, fields, weights)
+    # the (a, b) entry of the CDOS matrix from the same weights
+    direct = _pole_sum(pair, weights, k_grid).imag / math.pi
     scale = float(np.max(np.abs(direct))) or 1.0
     half = reconstruct_cdos(pair, [term for term, _, _ in live], k_grid)
     mean_dev = math.nan

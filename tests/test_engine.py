@@ -340,6 +340,122 @@ def test_rate_engine_never_builds_the_cdos_matrix(monkeypatch):
         assert math.isfinite(coherence_classification(src, env, 0.9 * k_m))
 
 
+
+def test_every_model_reduces_and_evaluates_under_the_one_forms():
+    from purcellx import QnmPair, core
+
+    for model in (HomogeneousGreens, ModeSet, QnmPair, CompositeGreens):
+        for name in ("reduce", "evaluate", "forms", "ldos_many", "cdos_matrix"):
+            assert callable(getattr(model, name, None)), (model.__name__, name)
+        assert model.forms is core._forms
+
+
+def test_nested_composite_sweeps_as_the_sum_of_its_parts():
+    """A composite may hold a composite: the numerator is the outer background's
+    forms plus the inner composite's (its background's plus its modes'), as
+    each part's own ``forms`` gives them, bitwise."""
+    modes = ModeSet((surrogate_l3(),))
+    glass = HomogeneousGreens(1.5)
+    env = CompositeGreens(glass, CompositeGreens(VACUUM, modes))
+    src = line_source(Position(0, 0, 0), X, Y, d=300.0, n_elements=31, p=1.0)
+    mode = modes.modes[0]
+    ks = mode.k_m + mode.gamma_m * np.linspace(-2.0, 2.0, 9)
+    numerator = 0 + glass.forms(src, ks) + (VACUUM.forms(src, ks) + modes.forms(src, ks))
+    expected = numerator / VACUUM.forms(src, ks)
+    assert sweep_spectrum(src, env, VACUUM, ks).samples.tobytes() == expected.tobytes()
+    assert decay_rate(src, env, VACUUM, float(ks[4])).gamma_ratio == expected[4]
+
+
+def _counted_k_checks(monkeypatch):
+    """Every call of ``_require_k`` from the modules that check wavenumbers."""
+    from purcellx import core, engine, homogeneous, modal
+
+    checks = []
+    counted = core._require_k
+
+    def counting(k):
+        checks.append(k)
+        counted(k)
+
+    for module in (core, engine, homogeneous, modal):
+        monkeypatch.setattr(module, "_require_k", counting)
+    return checks
+
+
+def test_public_calls_check_their_k_grid_once(monkeypatch):
+    checks = _counted_k_checks(monkeypatch)
+    mode = surrogate_l3()
+    env = CompositeGreens(VACUUM, ModeSet((mode,)))
+    src = line_source(Position(0, 0, 0), X, Y, d=300.0, n_elements=31, p=1.0)
+    sweep_spectrum(src, env, VACUUM, mode.k_m * np.linspace(0.999, 1.001, 5))
+    assert len(checks) == 1
+    checks.clear()
+    decay_rate(src, env, VACUUM, mode.k_m)
+    assert len(checks) == 1
+
+
+def test_a_bad_k_is_named_at_its_index_before_any_projection_error():
+    from purcellx import GridField, LossyMode, OutOfDomainError
+
+    data = np.random.default_rng(9).normal(size=(4, 4, 3)).astype(complex)
+    grid = GridField(data, origin=(-30.0, -30.0), spacing=(20.0, 20.0))
+    env = CompositeGreens(VACUUM, ModeSet((LossyMode(grid, k_m=0.005, gamma_m=1e-5),)))
+    # (100, 0, 0) lies outside the grid's x range [-30, 30]
+    outside = pair_source(_pp(0.0), _pp(100.0), 1.0, 0.3)
+    with pytest.raises(SweepPointError) as err:
+        sweep_spectrum(outside, env, VACUUM, [0.004, 0.005, math.inf])
+    assert err.value.index == 2
+    assert str(err.value.__cause__) == "wavenumber must be positive, got inf"
+    with pytest.raises(InvalidArgumentError, match="wavenumber must be positive, got -0.005"):
+        decay_rate(outside, env, VACUUM, -0.005)
+    with pytest.raises(SweepPointError) as err:
+        sweep_spectrum(outside, env, VACUUM, [0.004, 0.005])
+    assert err.value.index == 0
+    assert isinstance(err.value.__cause__, OutOfDomainError)
+    with pytest.raises(OutOfDomainError, match="outside grid axis 0"):
+        decay_rate(outside, env, VACUUM, 0.005)
+
+
+def _hand_built(rng, count):
+    """An element-list source of ``count`` random elements: it takes the pair path."""
+    elements = tuple(DipoleElement(PolarizedPoint(Position(*p), Orientation.from_vector(*u)),
+                                   complex(*w))
+                     for p, u, w in zip(rng.uniform(-300.0, 300.0, (count, 3)),
+                                        rng.normal(size=(count, 3)), rng.normal(size=(count, 2))))
+    return ExtendedSource(elements=elements, reference=Position(0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("shape", ["line", "tilted slab", "element list"])
+def test_media_of_any_index_share_one_reduction(monkeypatch, shape):
+    """A background of n = 3.48 normalised to vacuum builds one lag table, and
+    its sums equal each model's own ``forms``, bitwise; an element list's pair
+    terms, more than one block of them, are made anew for each medium."""
+    from purcellx import SamplingGrid, engine, homogeneous, sampled_source
+
+    calls = []
+    lag_terms = homogeneous._lag_terms
+    monkeypatch.setattr(homogeneous, "_lag_terms", lambda *args: calls.append(1) or
+                        lag_terms(*args))
+    if shape == "line":
+        src = line_source(Position(0, 0, 0), Orientation.from_vector(1.0, 0.4, 0.0), Y,
+                          d=300.0, n_elements=60, p=1.0)
+    elif shape == "tilted slab":
+        grid = SamplingGrid((-200.0, -200.0, 0.0), (200.0, 200.0, 0.0), (20, 20, 1))
+        src = sampled_source(lambda r: complex(math.cos(0.01 * r.x), math.sin(0.02 * r.y)),
+                             lambda r: Orientation.from_vector(1.0, r.x / 400.0, 0.3), grid)
+    else:
+        src = _hand_built(np.random.default_rng(130), 130)
+        assert src._lattice is None and 130 * 131 // 2 > homogeneous._BLOCK
+    mode = surrogate_l3()
+    env = CompositeGreens(HomogeneousGreens(3.48), ModeSet((mode,)))
+    ks = mode.k_m * np.linspace(0.998, 1.002, 4)
+    sweep_spectrum(src, env, VACUUM, ks)
+    assert len(calls) == (0 if shape == "element list" else 1)
+    num, den = engine._double_sums(src, ks, env, VACUUM)
+    assert num.tobytes() == env.forms(src, ks).tobytes()
+    assert den.tobytes() == VACUUM.forms(src, ks).tobytes()
+
+
 def test_sweep_reports_first_negative_reference_point():
     """A QNM reference whose field carries the phase pi/4 has the LDOS
     Im(i pole)/pi = Re(pole)/pi ~ (k_m - k): it turns negative past k_m."""

@@ -303,6 +303,23 @@ def test_mean_q_report_projects_each_mode_once(monkeypatch, kind):
     assert counts == [len(model.structured_modes())] * 2
 
 
+
+@pytest.mark.parametrize("kind", ["qnm", 3])
+def test_mean_q_report_weighs_each_mode_once(monkeypatch, kind):
+    # the direct sum and the decomposition read the same weight Z_m = _cross(z_a, z_b)
+    model = _pole_model(kind, (1.0 + 0.5j, 0.3 - 0.9j, -0.7 + 0.2j), 0.005, 2.5e-5, 0.6, 2.5)
+    a, b = _point(30.0, 10.0), _point(-90.0)
+    ks = np.linspace(0.0049, 0.0051, 201)
+    before = mean_q_report(model, a, b, ks)
+    calls = []
+    cross = type(model)._cross
+    monkeypatch.setattr(type(model), "_cross",
+                        staticmethod(lambda x, y: calls.append(1) or cross(x, y)))
+    # repr round-trips every float, so equal reprs are equal bits
+    assert repr(mean_q_report(model, a, b, ks)) == repr(before)
+    assert len(calls) == len(model.structured_modes())
+
+
 def test_mean_q_report_agrees_when_phases_equal():
     pair = _single_qnm_pair(amplitude=cmath.exp(0.7j))
     a = _point(30.0)
