@@ -325,8 +325,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str, output_format: str, verbose:
         _, k_grid = cfg.sweep
         if isinstance(cfg.source, LineSpec):
             spec = cfg.source
-            n_elem = spec.elements or sources.default_element_count(
-                spec.d_nm, float(k_grid[len(k_grid) // 2]), n=cfg.environment.background_index
+            n_elem = spec.elements or engine._auto_element_count(
+                cfg.environment, spec.d_nm, float(k_grid[len(k_grid) // 2])
             )
             src = sources.line_source(
                 spec.center, spec.axis, spec.polarization, spec.d_nm, n_elem, spec.amplitude

@@ -12,10 +12,10 @@ models the LDOS far from resonance would otherwise be zero and the ratio
 meaningless, which is also why CLI compositions always add a homogeneous
 background.
 
-A call checks its k grid once; each distinct model part then ``reduce``s the
-source to k-free values, one reduction for all homogeneous media, and
-``evaluate``s them.  No value depends on the other points of the grid, so a
-sweep agrees bitwise with :func:`decay_rate`.
+A call checks its k grid once and walks a composite to its leaf models, at any
+depth; each distinct leaf ``reduce``s the source to k-free values, one reduction
+for all homogeneous media, and ``evaluate``s them.  No value depends on the
+other points of the grid, so a sweep agrees bitwise with :func:`decay_rate`.
 :func:`coherence_classification` takes its coherent sum the same way and its
 incoherent sum from each model's per-point LDOS, ``ldos_many``.  No function
 here builds the M x M ``cdos_matrix``: a homogeneous sum costs its terms
@@ -41,7 +41,6 @@ from .core import (
     Spectrum,
     SweepPointError,
     Wavenumber,
-    _forms,
     _require_count,
     _require_k,
     _require_k_grid,
@@ -65,16 +64,14 @@ __all__ = [
 
 
 class GreensModel(Protocol):
-    """Contract every environment model satisfies.
+    """Contract every leaf environment model satisfies; a :class:`CompositeGreens`
+    sums leaves, and its ``structured`` part may itself be a composite.
 
     ``ldos_many`` is the projected LDOS ``rho(P_i, P_i, k)`` at each of M
     polarized points, shape (M,); ``forms`` checks a k grid, then ``evaluate``s
     the k-free ``reduce`` of a source to ``w^H rho(k) w`` at each k, shape (K,).
     None builds the M x M CDOS matrix; ``cdos_matrix`` is the kernel and oracle.
     """
-
-    @property
-    def background_index(self) -> float: ...
 
     def structured_modes(self) -> tuple: ...
 
@@ -93,18 +90,12 @@ class CompositeGreens:
     """Homogeneous radiative background plus a structured resonant model or composite.
 
     CDOS contributions add (the underlying Im G is additive), which keeps
-    the LDOS nonzero away from resonances and prevents 0/0 ratios.
+    the LDOS nonzero away from resonances and prevents 0/0 ratios.  Only the
+    engine walks the tree, so the parts at any depth share one reduction.
     """
 
     background: HomogeneousGreens
     structured: GreensModel
-
-    @property
-    def background_index(self) -> float:
-        return self.background.n
-
-    def structured_modes(self) -> tuple:
-        return self.structured.structured_modes()
 
     cdos = _two_point
 
@@ -118,14 +109,8 @@ class CompositeGreens:
         return self.background.ldos_many(positions, orientations, k) + \
             self.structured.ldos_many(positions, orientations, k)
 
-    def reduce(self, src: ExtendedSource) -> tuple:
-        return self.background.reduce(src), self.structured.reduce(src)
-
-    def evaluate(self, reduction: tuple, k_grid: np.ndarray) -> np.ndarray:
-        return self.background.evaluate(reduction[0], k_grid) + \
-            self.structured.evaluate(reduction[1], k_grid)
-
-    forms = _forms
+    def forms(self, src: ExtendedSource, k_grid) -> np.ndarray:
+        return _double_sums(src, _require_k_grid(k_grid), self)[0]
 
 
 @dataclass(frozen=True)
@@ -155,20 +140,35 @@ class LengthSweep:
     k: Wavenumber
 
 
+def _walk(model, leaf):
+    """The sum of ``leaf(part)`` over a model's leaf parts, in tree order: a composite
+    gives its background's sum plus its structured part's, either walked in turn."""
+    if isinstance(model, CompositeGreens):
+        return _walk(model.background, leaf) + _walk(model.structured, leaf)
+    return leaf(model)
+
+
 def _double_sums(src: ExtendedSource, k_grid: np.ndarray, *models: GreensModel) -> tuple:
     """``w^H rho(k) w`` of each model over a checked ``k_grid``: one reduction per
-    distinct ``reduce``, one evaluation per distinct part."""
-    reductions, forms, sums = {}, {}, []
-    for model in models:
-        parts = (model.background, model.structured) if isinstance(model, CompositeGreens) \
-            else (model,)
-        for part in parts:
-            if part not in forms:
-                if part.reduce not in reductions:
-                    reductions[part.reduce] = part.reduce(src)
-                forms[part] = part.evaluate(reductions[part.reduce], k_grid)
-        sums.append(sum(forms[part] for part in parts))
-    return tuple(sums)
+    distinct ``reduce`` and one evaluation per distinct leaf, at any depth."""
+    reductions, forms = {}, {}
+
+    def evaluated(leaf):
+        if leaf not in forms:
+            if leaf.reduce not in reductions:
+                reductions[leaf.reduce] = leaf.reduce(src)
+            forms[leaf] = leaf.evaluate(reductions[leaf.reduce], k_grid)
+        return forms[leaf]
+
+    return tuple(_walk(model, evaluated) for model in models)
+
+
+def _auto_element_count(env: GreensModel, d: float, k: Wavenumber) -> int:
+    """The element count of a length-d line when none is given: spacing <= lambda/20
+    in the outermost homogeneous background of ``env``, or in vacuum without one."""
+    while isinstance(env, CompositeGreens):
+        env = env.background
+    return default_element_count(d, k, n=env.n if isinstance(env, HomogeneousGreens) else 1.0)
 
 
 def _ascending_grid(name: str, values) -> np.ndarray:
@@ -240,7 +240,7 @@ def sweep_spectrum(src: ExtendedSource, env: GreensModel, ref_env: GreensModel, 
 
 
 def _dominant_mode(env: GreensModel, center: Position, polarization: Orientation):
-    modes = env.structured_modes()
+    modes = _walk(env, lambda leaf: leaf.structured_modes())
     if not modes:
         return None
     return max(modes, key=lambda mode: abs(projected_field(mode.field, center, polarization)))
@@ -262,21 +262,22 @@ def sweep_length(center: Position, axis: Orientation, polarization: Orientation,
         raise InvalidArgumentError("line lengths must be >= 0")
 
     if elements is None:
-        n_background = env.background_index
-        count_for = lambda d: default_element_count(d, k, n=n_background)
+        count_for = lambda d: _auto_element_count(env, d, k)
     elif callable(elements):
         count_for = elements
     else:
         fixed = _require_count("elements", elements)
         count_for = lambda d: fixed
 
+    k_grid = _require_k_grid([k])
     dominant = _dominant_mode(env, center, polarization)
 
     def at(i: int):
         d = float(d_values[i])
         try:
             src = line_source(center, axis, polarization, d, count_for(d), p)
-            result = decay_rate(src, env, ref_env, k)
+            num, den = _double_sums(src, k_grid, env, ref_env)
+            _require_reference(float(den[0]))
             if dominant is None:
                 tip_field = math.nan
             else:
@@ -286,17 +287,18 @@ def sweep_length(center: Position, axis: Orientation, polarization: Orientation,
                     center.z + 0.5 * d * axis.uz,
                 )
                 tip_field = projected_field(dominant.field, tip, polarization).real
-            return result, tip_field
+            return num[0], den[0], tip_field
         except PurcellxError as exc:
             raise SweepPointError(i, d, exc) from exc
 
     rows = [at(i) for i in range(d_values.size)]
+    numerator, denominator, extremity_field = map(np.array, zip(*rows))
     return LengthSweep(
         d_values=d_values,
-        gamma_ratio=np.array([r.gamma_ratio for r, _ in rows]),
-        numerator=np.array([r.numerator for r, _ in rows]),
-        denominator=np.array([r.denominator for r, _ in rows]),
-        extremity_field=np.array([t for _, t in rows]),
+        gamma_ratio=numerator / denominator,
+        numerator=numerator,
+        denominator=denominator,
+        extremity_field=extremity_field,
         k=k,
     )
 

@@ -150,10 +150,6 @@ class HomogeneousGreens:
     def __post_init__(self):
         _require_at_least("refractive index", self.n, 1.0)
 
-    @property
-    def background_index(self) -> float:
-        return self.n
-
     def structured_modes(self) -> tuple:
         return ()
 

@@ -167,7 +167,6 @@ class ModeSet(_PoleExpansion):
     """
 
     modes: tuple[LossyMode, ...]
-    background_index = 1.0
 
     def __post_init__(self):
         modes = tuple(self.modes)

@@ -91,7 +91,6 @@ class QnmPair(_PoleExpansion):
 
     qnm_a: Qnm
     qnm_b: Qnm
-    background_index = 1.0
 
     def structured_modes(self) -> tuple[Qnm, Qnm]:
         return (self.qnm_a, self.qnm_b)

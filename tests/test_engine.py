@@ -21,6 +21,7 @@ from purcellx import (
     cdos,
     coherence_classification,
     decay_rate,
+    default_element_count,
     line_source,
     pair_source,
     point_source,
@@ -243,14 +244,20 @@ def test_zero_amplitude_mode_with_background_gives_flat_unit_spectrum():
 
 
 def test_sweep_length_small_d_limit_is_point_rate():
-    mode = surrogate_l3()
-    env = CompositeGreens(HomogeneousGreens(3.48), ModeSet((mode,)))
+    """The automatic count spaces a line in the outermost homogeneous background,
+    or in vacuum without one: at d = 50 nm, 4 elements in n = 3.48 and 2 in n = 1."""
+    modes = ModeSet((surrogate_l3(),))
     ref = HomogeneousGreens(3.48)
-    k = mode.k_m
-    curve = sweep_length(Position(0, 0, 0), X, Y, np.array([0.0, 50.0]), 1.0,
-                         env, ref, k)
-    point = decay_rate(point_source(_pp(0.0), 1.0), env, ref, k).gamma_ratio
-    assert curve.gamma_ratio[0] == pytest.approx(point, rel=1e-12)
+    k = modes.modes[0].k_m
+    for env, n in ((CompositeGreens(HomogeneousGreens(3.48), modes), 3.48),
+                   (CompositeGreens(HomogeneousGreens(3.48), CompositeGreens(VACUUM, modes)), 3.48),
+                   (modes, 1.0)):
+        args = (Position(0, 0, 0), X, Y, np.array([0.0, 50.0]), 1.0, env, ref, k)
+        curve = sweep_length(*args)
+        point = decay_rate(point_source(_pp(0.0), 1.0), env, ref, k).gamma_ratio
+        assert curve.gamma_ratio[0] == pytest.approx(point, rel=1e-12)
+        counted = sweep_length(*args, elements=lambda d: default_element_count(d, k, n=n))
+        assert curve.gamma_ratio.tobytes() == counted.gamma_ratio.tobytes()
 
 
 def test_sweep_length_emits_extremity_field_of_dominant_mode():
@@ -342,12 +349,20 @@ def test_rate_engine_never_builds_the_cdos_matrix(monkeypatch):
 
 
 def test_every_model_reduces_and_evaluates_under_the_one_forms():
+    """Leaves reduce and evaluate under ``core._forms``; a composite does neither,
+    since the engine alone walks it, and no model states a background index."""
     from purcellx import QnmPair, core
 
-    for model in (HomogeneousGreens, ModeSet, QnmPair, CompositeGreens):
+    for model in (HomogeneousGreens, ModeSet, QnmPair):
         for name in ("reduce", "evaluate", "forms", "ldos_many", "cdos_matrix"):
             assert callable(getattr(model, name, None)), (model.__name__, name)
         assert model.forms is core._forms
+    for name in ("forms", "ldos_many", "cdos_matrix"):
+        assert callable(getattr(CompositeGreens, name, None)), name
+    for model in (HomogeneousGreens, ModeSet, QnmPair, CompositeGreens):
+        assert not hasattr(model, "background_index"), model.__name__
+    for name in ("reduce", "evaluate", "structured_modes"):
+        assert not hasattr(CompositeGreens, name), name
 
 
 def test_nested_composite_sweeps_as_the_sum_of_its_parts():
@@ -392,6 +407,20 @@ def test_public_calls_check_their_k_grid_once(monkeypatch):
     checks.clear()
     decay_rate(src, env, VACUUM, mode.k_m)
     assert len(checks) == 1
+    checks.clear()
+    sweep_length(Position(0, 0, 0), X, Y, np.linspace(0.0, 400.0, 5), 1.0, env, VACUUM,
+                 mode.k_m, elements=7)
+    assert len(checks) == 1
+
+
+def test_sweep_length_checks_its_k_before_building_a_line(monkeypatch):
+    from purcellx import engine
+
+    built = []
+    monkeypatch.setattr(engine, "line_source", lambda *args: built.append(args))
+    with pytest.raises(InvalidArgumentError, match="wavenumber must be positive, got -0.005"):
+        sweep_length(Position(0, 0, 0), X, Y, [0.0, 50.0], 1.0, VACUUM, VACUUM, -0.005)
+    assert built == []
 
 
 def test_a_bad_k_is_named_at_its_index_before_any_projection_error():
@@ -427,9 +456,11 @@ def _hand_built(rng, count):
 
 @pytest.mark.parametrize("shape", ["line", "tilted slab", "element list"])
 def test_media_of_any_index_share_one_reduction(monkeypatch, shape):
-    """A background of n = 3.48 normalised to vacuum builds one lag table, and
-    its sums equal each model's own ``forms``, bitwise; an element list's pair
-    terms, more than one block of them, are made anew for each medium."""
+    """A background of n = 3.48 normalised to vacuum builds one lag table, and so
+    does a composite nested in a composite, in a sweep, a single rate and its own
+    ``forms``; the sums equal the parts' own ``forms`` added in tree order,
+    bitwise.  An element list's pair terms, more than one block of them, are made
+    anew for each medium."""
     from purcellx import SamplingGrid, engine, homogeneous, sampled_source
 
     calls = []
@@ -446,14 +477,22 @@ def test_media_of_any_index_share_one_reduction(monkeypatch, shape):
     else:
         src = _hand_built(np.random.default_rng(130), 130)
         assert src._lattice is None and 130 * 131 // 2 > homogeneous._BLOCK
-    mode = surrogate_l3()
-    env = CompositeGreens(HomogeneousGreens(3.48), ModeSet((mode,)))
-    ks = mode.k_m * np.linspace(0.998, 1.002, 4)
-    sweep_spectrum(src, env, VACUUM, ks)
-    assert len(calls) == (0 if shape == "element list" else 1)
-    num, den = engine._double_sums(src, ks, env, VACUUM)
-    assert num.tobytes() == env.forms(src, ks).tobytes()
-    assert den.tobytes() == VACUUM.forms(src, ks).tobytes()
+    modes = ModeSet((surrogate_l3(),))
+    ks = modes.modes[0].k_m * np.linspace(0.998, 1.002, 4)
+    dense, glass = HomogeneousGreens(3.48), HomogeneousGreens(1.5)
+    for env, parts in (
+            (CompositeGreens(dense, modes), lambda: dense.forms(src, ks) + modes.forms(src, ks)),
+            (CompositeGreens(glass, CompositeGreens(VACUUM, modes)),
+             lambda: glass.forms(src, ks) + (VACUUM.forms(src, ks) + modes.forms(src, ks)))):
+        for call in (lambda: sweep_spectrum(src, env, VACUUM, ks),
+                     lambda: decay_rate(src, env, VACUUM, float(ks[1])),
+                     lambda: env.forms(src, ks)):
+            calls.clear()
+            call()
+            assert len(calls) == (0 if shape == "element list" else 1)
+        num, den = engine._double_sums(src, ks, env, VACUUM)
+        assert num.tobytes() == env.forms(src, ks).tobytes() == parts().tobytes()
+        assert den.tobytes() == VACUUM.forms(src, ks).tobytes()
 
 
 def test_sweep_reports_first_negative_reference_point():

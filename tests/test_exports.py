@@ -46,13 +46,24 @@ _RUNTIME_SCRIPT = textwrap.dedent("""
 """)
 
 
-def test_runtime_dependencies_are_numpy_and_pyyaml():
-    # a fresh interpreter: this process has the test extras loaded already
+def _fresh_interpreter(script, *args):
+    """The last line ``script`` prints in a new interpreter that imports the package
+    from this checkout: this process has the test extras loaded already."""
     src = pathlib.Path(importlib.import_module("purcellx").__file__).resolve().parents[1]
-    result = subprocess.run([sys.executable, "-c", _RUNTIME_SCRIPT, *TEST_ONLY],
+    result = subprocess.run([sys.executable, "-c", script, *args],
                             env={**os.environ, "PYTHONPATH": str(src)},
                             capture_output=True, text=True, check=True)
-    assert result.stdout.splitlines()[-1] == "[]"
+    return result.stdout.splitlines()[-1]
+
+
+def test_runtime_dependencies_are_numpy_and_pyyaml():
+    assert _fresh_interpreter(_RUNTIME_SCRIPT, *TEST_ONLY) == "[]"
+
+
+def test_importing_the_package_loads_neither_the_cli_nor_yaml():
+    # a library caller, such as the benchmark's slab workload, pays no CLI or YAML import
+    script = "import sys, purcellx; print(sorted({'purcellx.cli', 'yaml'} & set(sys.modules)))"
+    assert _fresh_interpreter(script) == "[]"
 
 
 def test_bench_trace_hooks_install_and_restore(monkeypatch):
