@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -258,6 +259,33 @@ def _sweep(spec, path):
     return ("length", d_grid, k if key == "k" else wavelength_to_k(k))
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """YAML 1.1 safe loading with two changes: a decimal number with an exponent
+    (``3e-05`` and ``1e+20``, as ``json.dumps`` writes them, or ``1.27e3``) is a
+    float, and a key repeated in one mapping is an error that names it and its
+    line."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # a merge key (<<) names no key of its own, and YAML's own check refuses
+            # a key that is not a scalar, since it cannot be hashed
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
+# YAML 1.1's own float rule needs a dot and a signed exponent; ints stay ints
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 @dataclass
 class ScenarioConfig:
     scenario: str
@@ -275,7 +303,7 @@ def parse_config(path: str) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(raw)
+        data = yaml.load(raw, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError("config", f"not valid YAML: {exc}") from exc
     if not isinstance(data, dict):

@@ -90,8 +90,10 @@ class CompositeGreens:
     """Homogeneous radiative background plus a structured resonant model or composite.
 
     CDOS contributions add (the underlying Im G is additive), which keeps
-    the LDOS nonzero away from resonances and prevents 0/0 ratios.  Only the
-    engine walks the tree, so the parts at any depth share one reduction.
+    the LDOS nonzero away from resonances and prevents 0/0 ratios.  Every
+    quantity over a composite is the engine's walk of its leaves
+    (:func:`_walk`), so the parts at any depth share one reduction and add in
+    one order.
     """
 
     background: HomogeneousGreens
@@ -101,13 +103,11 @@ class CompositeGreens:
 
     def cdos_matrix(self, positions: np.ndarray, orientations: np.ndarray,
                     k: Wavenumber) -> np.ndarray:
-        return self.background.cdos_matrix(positions, orientations, k) + \
-            self.structured.cdos_matrix(positions, orientations, k)
+        return _walk(self, lambda leaf: leaf.cdos_matrix(positions, orientations, k))
 
     def ldos_many(self, positions: np.ndarray, orientations: np.ndarray,
                   k: Wavenumber) -> np.ndarray:
-        return self.background.ldos_many(positions, orientations, k) + \
-            self.structured.ldos_many(positions, orientations, k)
+        return _walk(self, lambda leaf: leaf.ldos_many(positions, orientations, k))
 
     def forms(self, src: ExtendedSource, k_grid) -> np.ndarray:
         return _double_sums(src, _require_k_grid(k_grid), self)[0]
@@ -154,7 +154,13 @@ def _double_sums(src: ExtendedSource, k_grid: np.ndarray, *models: GreensModel) 
     reductions, forms = {}, {}
 
     def evaluated(leaf):
-        if leaf not in forms:
+        try:
+            known = leaf in forms
+        except TypeError as exc:
+            raise InvalidArgumentError(f"{type(leaf).__name__} cannot be a leaf model: a leaf "
+                                       f"must be hashable, as a frozen dataclass is ({exc})"
+                                       ) from exc
+        if not known:
             if leaf.reduce not in reductions:
                 reductions[leaf.reduce] = leaf.reduce(src)
             forms[leaf] = leaf.evaluate(reductions[leaf.reduce], k_grid)

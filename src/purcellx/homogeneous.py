@@ -159,16 +159,18 @@ class HomogeneousGreens:
                     k: Wavenumber) -> np.ndarray:
         """Pairwise CDOS kernel over M polarized points, shape (M, M).
 
-        The kernel is evaluated on the upper triangle only and mirrored,
-        which halves the work and makes the matrix symmetric by construction.
+        The kernel is evaluated on the upper triangle only, in the blocks of
+        :func:`_pair_blocks`, and mirrored, which halves the work and makes the
+        matrix symmetric by construction; beside the result a call holds one
+        block's temporaries.
         """
         _require_k(k)
         m = positions.shape[0]
-        iu, ju = np.triu_indices(m)
-        vals = _pair_values(self.n, k, *_pair_geometry(positions, orientations, iu, ju))
         out = np.empty((m, m), dtype=float)
-        out[iu, ju] = vals
-        out[ju, iu] = vals
+        for iu, ju in _pair_blocks(m):
+            vals = _pair_values(self.n, k, *_pair_geometry(positions, orientations, iu, ju))
+            out[iu, ju] = vals
+            out[ju, iu] = vals
         return out
 
     def ldos_many(self, positions: np.ndarray, orientations: np.ndarray,
@@ -219,13 +221,25 @@ def _pair_geometry(positions: np.ndarray, orientations: np.ndarray, iu: np.ndarr
             np.einsum("ij,ij->i", ui, unit) * np.einsum("ij,ij->i", uj, unit))
 
 
+def _pair_blocks(m: int):
+    """The pairs i <= j of M points, as index arrays ``(iu, ju)`` of at most
+    ``_BLOCK`` pairs each, so no array holds all M(M+1)/2: row by row, i
+    ascending and j from i up, the order of numpy's upper-triangle indices."""
+    pairs = m * (m + 1) // 2
+    # the triangle's row i starts at pair number starts[i]
+    starts = np.concatenate(([0], np.cumsum(np.arange(m, 0, -1))))
+    for first in range(0, pairs, _BLOCK):
+        t = np.arange(first, min(first + _BLOCK, pairs))
+        iu = np.searchsorted(starts, t, side="right") - 1
+        yield iu, iu + (t - starts[iu])
+
+
 class _PairTerms:
-    """``(r, alpha, beta)`` over the pairs i <= j of a weighted source, in chunks
-    made anew at each iteration.  ``alpha`` and ``beta`` are ``u_i.u_j`` and
-    ``(u_i.R^)(u_j.R^)`` times ``(2 - delta_ij) Re(conj(w_i) w_j)``: an
-    off-diagonal pair stands for both (i, j) and (j, i) of the Hermitian sum.
-    The pairs come in the row order of ``np.triu_indices``, ``_BLOCK`` at a
-    time, so no array holds all M(M+1)/2.
+    """``(r, alpha, beta)`` over the pairs i <= j of a weighted source, in the
+    chunks of :func:`_pair_blocks`, made anew at each iteration.  ``alpha`` and
+    ``beta`` are ``u_i.u_j`` and ``(u_i.R^)(u_j.R^)`` times
+    ``(2 - delta_ij) Re(conj(w_i) w_j)``: an off-diagonal pair stands for both
+    (i, j) and (j, i) of the Hermitian sum.
     """
 
     def __init__(self, positions: np.ndarray, orientations: np.ndarray, weights: np.ndarray):
@@ -233,14 +247,7 @@ class _PairTerms:
 
     def __iter__(self):
         positions, orientations, weights = self.arrays
-        m = positions.shape[0]
-        pairs = m * (m + 1) // 2
-        # the triangle's row i starts at pair number starts[i]
-        starts = np.concatenate(([0], np.cumsum(np.arange(m, 0, -1))))
-        for first in range(0, pairs, _BLOCK):
-            t = np.arange(first, min(first + _BLOCK, pairs))
-            iu = np.searchsorted(starts, t, side="right") - 1
-            ju = iu + (t - starts[iu])
+        for iu, ju in _pair_blocks(positions.shape[0]):
             r, uu, urur = _pair_geometry(positions, orientations, iu, ju)
             c = np.where(iu == ju, 1.0, 2.0) * (weights[iu].conjugate() * weights[ju]).real
             yield r, uu * c, urur * c

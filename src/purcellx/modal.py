@@ -131,7 +131,8 @@ def _pole_matrix(model, positions: np.ndarray, orientations: np.ndarray,
 
 
 class _PoleExpansion:
-    """The methods every pole model shares.  A model class states its ``_cross``
+    """The methods every pole model shares, and the type by which the Fano tools of
+    :mod:`purcellx.qnm` know a pole model.  A model class states its ``_cross``
     and ``_form``, and binds :func:`_pole_matrix` as ``cdos_matrix`` itself, in
     its own namespace, where the benchmark's tracer wraps it."""
 

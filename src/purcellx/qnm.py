@@ -207,8 +207,8 @@ class FanoTerm:
 
 
 def _require_pole_model(pair) -> None:
-    if not isinstance(pair, (ModeSet, QnmPair)):
-        raise InvalidArgumentError(f"{type(pair).__name__} is not a pole model (ModeSet, QnmPair)")
+    if not isinstance(pair, _PoleExpansion):
+        raise InvalidArgumentError(f"{type(pair).__name__} is not a pole model")
 
 
 def _point_fields(pair, a: PolarizedPoint, b: PolarizedPoint) -> tuple[list, list]:

@@ -408,6 +408,58 @@ def test_k_m_gamma_m_and_length_sweep_k_match_their_wavelength_forms(tmp_path):
 
 
 
+def test_exponent_numbers_are_floats(tmp_path, capsys):
+    """A number with an exponent and no dot, or an unsigned one, reads as the float
+    it spells, as ``json.dumps`` writes it; an integer key still refuses it."""
+    k_m = 2.0 * math.pi / 1270.0
+    edits = {f"{_MODE}.lambda_m_nm": _DELETE, f"{_MODE}.q": _DELETE,
+             f"{_MODE}.k_m": k_m, f"{_MODE}.gamma_m": k_m / 2000.0}
+    text = json.dumps(yaml.safe_load(_edited(POINT_SPECTRUM, edits)))
+    assert repr(k_m / 2000.0) in text and "e-06" in text
+    spelled = POINT_SPECTRUM.replace("lambda_m_nm: 1270.0", "lambda_m_nm: 1.27e3") \
+        .replace("q: 2000.0", "q: 2E+3").replace("position: [0.0, 0.0, 0.0]",
+                                                 "position: [0e0, 0E+0, .0e1]")
+    assert "1.27e3" in spelled and "2E+3" in spelled and "0e0" in spelled
+    rows = []
+    for i, config in enumerate((_edited(POINT_SPECTRUM, edits), text, POINT_SPECTRUM, spelled)):
+        out = tmp_path / f"out{i}"
+        assert main(["run", "--config", _write(tmp_path, config, f"s{i}.yaml"), "--out", str(out),
+                     "--format", "csv"]) == 0
+        rows.append(_rows(out, "demo-point_spectrum.csv"))
+    assert rows[0] == rows[1] and rows[2] == rows[3]
+    counted = POINT_SPECTRUM.replace("count: 41", "count: 4.1e1")
+    assert main(["run", "--config", _write(tmp_path, counted), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: sweep.lambda_nm.count: expected an integer >= 1, got 41.0")
+
+
+@pytest.mark.parametrize("key", ["scenario", "background_n", "q"])
+def test_repeated_config_key_is_refused(tmp_path, capsys, key):
+    """The key given again on the next line: PyYAML alone would keep the last value."""
+    lines = POINT_SPECTRUM.splitlines(keepends=True)
+    first = next(i for i, text in enumerate(lines) if text.lstrip().startswith(f"{key}:"))
+    text = "".join(lines[:first + 1] + [lines[first]] + lines[first + 1:])
+    assert main(["run", "--config", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config: ")
+    # lines count from 1, so the repeat sits on line first + 2
+    assert f"found duplicate key {key!r}" in err and f"line {first + 2}," in err
+
+
+def test_merged_keys_are_not_repeats(tmp_path):
+    """A key beside a merge (``<<``) overrides the merged one, as in plain YAML."""
+    merged = POINT_SPECTRUM.replace("reference:\n  kind: homogeneous\n  n: 1.0\n",
+                                    "reference:\n  <<: {kind: homogeneous, n: 3.0}\n  n: 1.0\n")
+    assert "<<" in merged
+    rows = []
+    for i, config in enumerate((POINT_SPECTRUM, merged)):
+        out = tmp_path / f"out{i}"
+        assert main(["run", "--config", _write(tmp_path, config, f"s{i}.yaml"), "--out", str(out),
+                     "--format", "csv"]) == 0
+        rows.append(_rows(out, "demo-point_spectrum.csv"))
+    assert rows[0] == rows[1]
+
+
 def _grid_mode_config(path_value):
     return _edited(POINT_SPECTRUM, {_MODE: {"kind": "grid", "path": path_value,
                                             "lambda_m_nm": 1270.0, "q": 2000.0}})

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -646,3 +647,69 @@ def test_coherence_classification_rejects_nan_diagonal():
 
     with pytest.raises(DegenerateReferenceError, match="incoherent rate"):
         coherence_classification(point_source(_pp(0.0)), NanKernel(), 0.005)
+
+
+def test_nested_composite_quantities_are_the_sums_of_its_leaves():
+    """``cdos``, ``cdos_matrix`` and ``ldos_many`` of a composite at any depth add
+    each leaf's own value in tree order, bitwise."""
+    glass, silicon = HomogeneousGreens(1.5), HomogeneousGreens(3.48)
+    rng = np.random.default_rng(4)
+    positions = rng.uniform(-300.0, 300.0, (7, 3))
+    orientations = rng.normal(size=(7, 3))
+    orientations /= np.linalg.norm(orientations, axis=1)[:, None]
+    a, b = (PolarizedPoint(Position(*p), Orientation(*u))
+            for p, u in zip(positions[:2], orientations[:2]))
+    k = 0.00501
+    for resonant in (ModeSet((surrogate_l3(),)), _complex_qnm_pair()):
+        env = CompositeGreens(glass, CompositeGreens(VACUUM, CompositeGreens(silicon, resonant)))
+
+        def leaves(value):
+            return value(glass) + (value(VACUUM) + (value(silicon) + value(resonant)))
+
+        assert env.cdos(a, b, k) == leaves(lambda leaf: leaf.cdos(a, b, k))
+        for name in ("cdos_matrix", "ldos_many"):
+            got = getattr(env, name)(positions, orientations, k)
+            expected = leaves(lambda leaf: getattr(leaf, name)(positions, orientations, k))
+            assert got.tobytes() == expected.tobytes(), name
+
+
+class _GlassLeaf:
+    """A custom leaf model: a homogeneous medium of index ``n``, by delegation."""
+
+    def structured_modes(self):
+        return ()
+
+    def reduce(self, src):
+        return HomogeneousGreens.reduce(src)
+
+    def evaluate(self, terms, k_grid):
+        return HomogeneousGreens(self.n).evaluate(terms, k_grid)
+
+    def ldos_many(self, positions, orientations, k):
+        return HomogeneousGreens(self.n).ldos_many(positions, orientations, k)
+
+
+@dataclass
+class _Glass(_GlassLeaf):
+    """Not hashable: a plain dataclass sets ``__hash__`` to None."""
+
+    n: float
+
+
+@dataclass(frozen=True)
+class _FrozenGlass(_GlassLeaf):
+    n: float
+
+
+def test_unhashable_leaf_is_refused_by_name():
+    src = line_source(Position(0, 0, 0), X, Y, d=300.0, n_elements=31, p=1.0)
+    k = 0.005
+    message = "_Glass cannot be a leaf model: a leaf must be hashable, as a frozen dataclass is"
+    for env in (_Glass(1.5), CompositeGreens(VACUUM, _Glass(1.5))):
+        with pytest.raises(InvalidArgumentError, match=message):
+            decay_rate(src, env, VACUUM, k)
+    with pytest.raises(SweepPointError, match=message):
+        sweep_spectrum(src, _Glass(1.5), VACUUM, [k])
+    # the same leaf, frozen, is hashable and sums as the medium it wraps
+    assert decay_rate(src, _FrozenGlass(1.5), VACUUM, k) == \
+        decay_rate(src, HomogeneousGreens(1.5), VACUUM, k)

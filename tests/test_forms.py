@@ -573,6 +573,16 @@ def _peak_bytes(call):
     return peak
 
 
+def test_cdos_matrix_memory_at_2000_points():
+    # the result takes 30.5 MiB; the whole triangle of 2.0 M pairs, with its
+    # index and geometry arrays, would take about 260 MiB
+    rng = np.random.default_rng(8)
+    positions = rng.uniform(-300.0, 300.0, (2000, 3))
+    orientations = _unit_vectors(rng, 2000)
+    env = HomogeneousGreens(1.0)
+    assert _peak_bytes(lambda: env.cdos_matrix(positions, orientations, 0.005)) < 40 * 2**20
+
+
 def _random_hand_built(rng, count):
     positions = rng.uniform(-300.0, 300.0, (count, 3))
     orientations = _unit_vectors(rng, count)

@@ -18,9 +18,12 @@ from purcellx import (
     im_g_projected,
 )
 from purcellx.homogeneous import (
+    _BLOCK,
     TAYLOR_SWITCH,
     _factors_closed,
     _factors_series,
+    _pair_geometry,
+    _pair_values,
     radial_factors,
 )
 
@@ -188,6 +191,33 @@ def test_cdos_bounded_by_coincidence(a, b, k, n):
     env = HomogeneousGreens(n)
     bound = cdos(env, a, a, k)
     assert abs(cdos(env, a, b, k)) <= bound * (1.0 + 1e-12)
+
+
+def _dense_triangle(env, positions, orientations, k):
+    """The (M, M) kernel from all M(M+1)/2 pairs at once, in ``np.triu_indices`` order."""
+    m = positions.shape[0]
+    iu, ju = np.triu_indices(m)
+    vals = _pair_values(env.n, k, *_pair_geometry(positions, orientations, iu, ju))
+    out = np.empty((m, m))
+    out[iu, ju] = vals
+    out[ju, iu] = vals
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 17, 127, 128, 129, 181, 300])
+def test_cdos_matrix_blocks_cannot_be_seen(m):
+    # M = 128 is the first whose triangle fills more than one block of pairs;
+    # at k = 1e-4 every x = n k r lies on the series branch, at 0.03 nearly none
+    assert 127 * 128 // 2 <= _BLOCK < 128 * 129 // 2
+    rng = np.random.default_rng(m)
+    positions = rng.uniform(-300.0, 300.0, (m, 3))
+    orientations = rng.normal(size=(m, 3))
+    orientations /= np.linalg.norm(orientations, axis=1)[:, None]
+    for n in (1.0, 3.48):
+        env = HomogeneousGreens(n)
+        for k in np.geomspace(1e-4, 0.03, 5):
+            rho = env.cdos_matrix(positions, orientations, float(k))
+            assert rho.tobytes() == _dense_triangle(env, positions, orientations, float(k)).tobytes()
 
 
 def test_cdos_matrix_matches_scalar_kernel():
